@@ -10,11 +10,11 @@ use core::fmt;
 use std::sync::Arc;
 
 use modsram_bigint::{mod_inv, UBig};
-use modsram_core::dispatch::{ContextPool, Dispatcher};
-use modsram_core::service::ExecBackend;
+use modsram_core::dispatch::Dispatcher;
+use modsram_core::service::Backend;
 use modsram_core::CoreError;
 use modsram_ecc::curve::Curve;
-use modsram_ecc::curves::{secp256k1_fast, secp256k1_via, SECP256K1_N};
+use modsram_ecc::curves::{secp256k1_fast, secp256k1_with_prepared, SECP256K1_N, SECP256K1_P};
 use modsram_ecc::scalar::{mul_double_scalar, mul_scalar_wnaf};
 use modsram_ecc::{FieldCtx, Fp256Ctx};
 use modsram_modmul::{DirectEngine, ModMulEngine, PreparedModMul};
@@ -300,65 +300,39 @@ pub struct VerifyRequest {
     pub sig: Signature,
 }
 
-/// Verifies a batch of independent signatures, fanned out over a
-/// [`Dispatcher`]'s workers with both secp256k1 moduli — the group
-/// order `n` (scalar arithmetic) and the field prime `p` (curve
-/// arithmetic) — resolved through one shared [`ContextPool`], so the
-/// per-modulus preparation is paid once for the whole batch.
+/// Verifies a batch of independent signatures, fanned out over
+/// `fanout`'s workers, with both secp256k1 moduli — the group order `n`
+/// (scalar arithmetic) and the field prime `p` (curve arithmetic) —
+/// fetched once from `backend` and shared by every worker.
 ///
-/// This is the one-shot staged entry point; see [`verify_batch_via`]
-/// for the backend-generic form that also accepts a shared streaming
-/// service.
+/// What the backend decides is where the *field and scalar
+/// multiplications* execute: a [`modsram_core::ContextPool`] runs them
+/// on the fan-out workers over its pooled contexts (the per-modulus
+/// preparation is paid once for the whole batch); a
+/// [`modsram_core::ModSramService`] or
+/// [`modsram_core::cluster::ServiceCluster`] streams them through its
+/// queue, interleaved with every other tenant's (Pedersen, NTT, raw
+/// batches).
 ///
 /// Returns one verdict per request, in order: `Ok(true)`/`Ok(false)`
 /// for well-formed requests, `Err` for malformed keys or signatures.
 ///
 /// # Errors
 ///
-/// The outer `Err` is a pool preparation failure (e.g. a backend that
-/// rejects one of the curve moduli); per-request failures land in the
-/// inner results.
+/// The outer `Err` is a context/preparation failure (e.g. a pool whose
+/// engine rejects one of the curve moduli); per-request failures land
+/// in the inner results.
 pub fn verify_batch(
     requests: &[VerifyRequest],
-    pool: &ContextPool,
-    dispatcher: &Dispatcher,
-) -> Result<Vec<Result<bool, EcdsaError>>, CoreError> {
-    verify_batch_via(
-        requests,
-        &ExecBackend::Staged { dispatcher, pool },
-        dispatcher,
-    )
-}
-
-/// Verifies a batch of independent signatures over either execution
-/// backend: a one-shot staged dispatcher+pool, or a shared
-/// [`modsram_core::ModSramService`] whose queue then interleaves these
-/// verifications' modular multiplications with every other tenant's
-/// (Pedersen, NTT, raw batches) on one tile.
-///
-/// Request-level fan-out always runs on `fanout`'s workers; what the
-/// backend decides is where the *field and scalar multiplications*
-/// execute.
-///
-/// # Errors
-///
-/// The outer `Err` is a context/preparation failure; per-request
-/// failures land in the inner results.
-pub fn verify_batch_via(
-    requests: &[VerifyRequest],
-    backend: &ExecBackend<'_>,
+    backend: &dyn Backend,
     fanout: &Dispatcher,
 ) -> Result<Vec<Result<bool, EcdsaError>>, CoreError> {
-    let n = UBig::from_hex(SECP256K1_N).expect("const");
-    let scalar = backend.context(&n)?;
-    // Warm the field-prime context so per-worker curve construction
-    // below cannot fail on a cold pool (the service path defers
-    // preparation to execution and cannot fail here).
-    let _ = secp256k1_via(backend)?;
+    let scalar = backend.context(&UBig::from_hex(SECP256K1_N).expect("const"))?;
+    let field = backend.context(&UBig::from_hex(SECP256K1_P).expect("const"))?;
     let (verdicts, _) = fanout
         .run_items(
             requests.len(),
-            |_| secp256k1_via(backend).expect("field context warmed above"),
+            |_| secp256k1_with_prepared(Box::new(Arc::clone(&field))),
             |curve, i| {
                 let req = &requests[i];
                 let aff = modsram_ecc::Affine {
@@ -390,6 +364,7 @@ fn to_be32(v: &UBig) -> [u8; 32] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use modsram_core::ContextPool;
 
     fn key() -> SigningKey {
         SigningKey::new(
@@ -559,7 +534,7 @@ mod tests {
 
     #[test]
     fn verify_batch_via_service_matches_staged() {
-        use modsram_core::service::{ExecBackend, ModSramService, ServiceConfig};
+        use modsram_core::service::{ModSramService, ServiceConfig};
 
         let sk = key();
         let vk = sk.verifying_key();
@@ -586,15 +561,7 @@ mod tests {
 
         let pool = ContextPool::for_engine_name("montgomery").unwrap();
         let fanout = Dispatcher::new(2);
-        let staged = verify_batch_via(
-            &requests,
-            &ExecBackend::Staged {
-                dispatcher: &fanout,
-                pool: &pool,
-            },
-            &fanout,
-        )
-        .unwrap();
+        let staged = verify_batch(&requests, &pool, &fanout).unwrap();
 
         let service = ModSramService::for_engine_name(
             "montgomery",
@@ -604,8 +571,7 @@ mod tests {
             },
         )
         .unwrap();
-        let streamed =
-            verify_batch_via(&requests, &ExecBackend::Service(&service), &fanout).unwrap();
+        let streamed = verify_batch(&requests, &service, &fanout).unwrap();
         assert_eq!(streamed, staged);
         assert_eq!(
             streamed,
@@ -628,7 +594,6 @@ mod tests {
     #[test]
     fn verify_batch_via_cluster_matches_staged() {
         use modsram_core::cluster::{ClusterConfig, ServiceCluster};
-        use modsram_core::service::ExecBackend;
 
         let sk = key();
         let vk = sk.verifying_key();
@@ -646,22 +611,14 @@ mod tests {
 
         let pool = ContextPool::for_engine_name("montgomery").unwrap();
         let fanout = Dispatcher::new(2);
-        let staged = verify_batch_via(
-            &requests,
-            &ExecBackend::Staged {
-                dispatcher: &fanout,
-                pool: &pool,
-            },
-            &fanout,
-        )
-        .unwrap();
+        let staged = verify_batch(&requests, &pool, &fanout).unwrap();
 
         // The same verification fanned across a 2-tile cluster: the
         // curve's p and n home on their rendezvous tiles and every
         // scalar/field multiplication streams through the router.
         let cluster =
             ServiceCluster::for_engine_name("montgomery", 2, ClusterConfig::default()).unwrap();
-        let routed = verify_batch_via(&requests, &ExecBackend::Cluster(&cluster), &fanout).unwrap();
+        let routed = verify_batch(&requests, &cluster, &fanout).unwrap();
         assert_eq!(routed, staged);
         assert_eq!(routed, vec![Ok(true), Ok(true)]);
         let stats = cluster.shutdown();

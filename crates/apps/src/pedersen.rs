@@ -7,11 +7,10 @@
 //! bases being unknown.
 
 use modsram_bigint::{ubig_below, UBig};
-use modsram_core::dispatch::ContextPool;
-use modsram_core::service::ExecBackend;
+use modsram_core::service::Backend;
 use modsram_core::CoreError;
 use modsram_ecc::curve::{Affine, Curve, Jacobian};
-use modsram_ecc::curves::{bn254_fast, bn254_via, bn254_with_engine, bn254_with_pool};
+use modsram_ecc::curves::{bn254_fast, bn254_via, bn254_with_engine};
 use modsram_ecc::msm::msm;
 use modsram_ecc::scalar::mul_scalar_wnaf;
 use modsram_ecc::{DynCtx, FieldCtx, Fp256Ctx};
@@ -23,9 +22,11 @@ use crate::sha256::sha256;
 /// A Pedersen committer with `size` value bases plus one blinding base.
 ///
 /// Generic over the field backend: the default is the fast 256-bit
-/// Montgomery context, and [`PedersenCommitter::new_with_engine`] runs
+/// Montgomery context, [`PedersenCommitter::new_with_engine`] runs
 /// every field multiplication through a prepared engine context instead
-/// (including the cycle-accurate ModSRAM device).
+/// (including the cycle-accurate ModSRAM device), and
+/// [`PedersenCommitter::new_via`] takes that context from a [`Backend`]
+/// — a `ContextPool`, a `ModSramService` or a `ServiceCluster`.
 pub struct PedersenCommitter<C: FieldCtx = Fp256Ctx> {
     curve: Curve<C>,
     bases: Vec<Affine<C::El>>,
@@ -55,30 +56,20 @@ impl PedersenCommitter<DynCtx> {
     }
 
     /// As [`PedersenCommitter::new`], but the BN254 base-field context
-    /// is drawn from (and cached in) a shared [`ContextPool`], so
-    /// committers over several curves — or repeated construction — pay
-    /// the per-modulus preparation once. Pair with
+    /// comes from `backend`. A [`modsram_core::ContextPool`] caches it,
+    /// so committers over several curves — or repeated construction —
+    /// pay the per-modulus preparation once (pair with
     /// [`PedersenCommitter::with_curve`] over e.g.
-    /// [`modsram_ecc::curves::p256_with_pool`] for a second curve on
-    /// the same pool.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the pool's preparation error.
-    pub fn new_with_pool(size: usize, tag: &[u8], pool: &ContextPool) -> Result<Self, CoreError> {
-        Ok(Self::with_curve(bn254_with_pool(pool)?, size, tag))
-    }
-
-    /// As [`PedersenCommitter::new_with_pool`], but over either
-    /// execution backend — pass
-    /// [`ExecBackend::Service`] to stream every
-    /// commitment's field multiplications through a shared
-    /// [`modsram_core::ModSramService`] alongside other tenants.
+    /// [`modsram_ecc::curves::p256_via`] for a second curve on the same
+    /// pool). A [`modsram_core::ModSramService`] or
+    /// [`modsram_core::cluster::ServiceCluster`] streams every
+    /// commitment's field multiplications through its queue alongside
+    /// other tenants.
     ///
     /// # Errors
     ///
     /// Propagates the backend's context/preparation error.
-    pub fn new_via(size: usize, tag: &[u8], backend: &ExecBackend<'_>) -> Result<Self, CoreError> {
+    pub fn new_via(size: usize, tag: &[u8], backend: &dyn Backend) -> Result<Self, CoreError> {
         Ok(Self::with_curve(bn254_via(backend)?, size, tag))
     }
 }
@@ -209,7 +200,8 @@ mod tests {
 
     #[test]
     fn pooled_committers_over_two_curves_share_preparations() {
-        use modsram_ecc::curves::p256_with_pool;
+        use modsram_core::ContextPool;
+        use modsram_ecc::curves::p256_via;
 
         let pool = ContextPool::for_engine_name("montgomery").unwrap();
         let values: Vec<UBig> = [4u64, 8].map(UBig::from).to_vec();
@@ -217,7 +209,7 @@ mod tests {
 
         // BN254 committer through the pool matches the fast backend.
         let fast = PedersenCommitter::new(2, b"modsram-pool");
-        let pooled = PedersenCommitter::new_with_pool(2, b"modsram-pool", &pool).unwrap();
+        let pooled = PedersenCommitter::new_via(2, b"modsram-pool", &pool).unwrap();
         let fast_affine = fast.curve().to_affine(&fast.commit(&values, &r));
         let pooled_affine = pooled.curve().to_affine(&pooled.commit(&values, &r));
         assert_eq!(
@@ -228,23 +220,21 @@ mod tests {
 
         // A second committer over a *different* curve rides the same
         // pool; a second BN254 committer hits the cached context.
-        let p256 =
-            PedersenCommitter::with_curve(p256_with_pool(&pool).unwrap(), 2, b"modsram-pool-p256");
+        let p256 = PedersenCommitter::with_curve(p256_via(&pool).unwrap(), 2, b"modsram-pool-p256");
         assert!(p256.open(&p256.commit(&values, &r), &values, &r));
         assert_eq!(pool.len(), 2, "bn254 p and p256 p");
         let misses_before = pool.misses();
-        let _again = PedersenCommitter::new_with_pool(2, b"modsram-pool", &pool).unwrap();
+        let _again = PedersenCommitter::new_via(2, b"modsram-pool", &pool).unwrap();
         assert_eq!(pool.misses(), misses_before, "cached context reused");
     }
 
     #[test]
     fn service_backed_committer_matches_fast() {
-        use modsram_core::service::{ExecBackend, ModSramService, ServiceConfig};
+        use modsram_core::service::{ModSramService, ServiceConfig};
 
         let service = ModSramService::for_engine_name("montgomery", ServiceConfig::default())
             .expect("registered engine");
-        let backend = ExecBackend::Service(&service);
-        let streamed = PedersenCommitter::new_via(2, b"modsram-svc", &backend).unwrap();
+        let streamed = PedersenCommitter::new_via(2, b"modsram-svc", &service).unwrap();
         let fast = PedersenCommitter::new(2, b"modsram-svc");
         let values: Vec<UBig> = [4u64, 8].map(UBig::from).to_vec();
         let r = UBig::from(2024u64);
@@ -263,12 +253,10 @@ mod tests {
     #[test]
     fn cluster_backed_committer_matches_fast() {
         use modsram_core::cluster::{ClusterConfig, ServiceCluster};
-        use modsram_core::service::ExecBackend;
 
         let cluster = ServiceCluster::for_engine_name("montgomery", 2, ClusterConfig::default())
             .expect("registered engine");
-        let backend = ExecBackend::Cluster(&cluster);
-        let routed = PedersenCommitter::new_via(2, b"modsram-cluster", &backend).unwrap();
+        let routed = PedersenCommitter::new_via(2, b"modsram-cluster", &cluster).unwrap();
         let fast = PedersenCommitter::new(2, b"modsram-cluster");
         let values: Vec<UBig> = [4u64, 8].map(UBig::from).to_vec();
         let r = UBig::from(2024u64);

@@ -1143,10 +1143,13 @@ pub fn cluster_sweep(spec: &ClusterSweepSpec) -> Vec<ClusterSweepRow> {
                     scope.spawn(move || {
                         let mine: Vec<usize> =
                             (0..jobs.len()).filter(|i| i % submitters == s).collect();
-                        let tickets: Vec<Ticket> = mine
-                            .iter()
-                            .map(|&i| handle.submit(jobs[i].clone()).expect("running"))
-                            .collect();
+                        // One bulk submission per slice: each tile queues
+                        // a submitter's share under one lock, so batches
+                        // form from whole slices whatever the thread
+                        // interleaving, and the modelled makespan with it.
+                        let tickets = handle
+                            .submit_many(mine.iter().map(|&i| jobs[i].clone()).collect())
+                            .expect("running");
                         for (&i, ticket) in mine.iter().zip(&tickets) {
                             assert_eq!(
                                 ticket.wait().expect("valid modulus"),

@@ -207,15 +207,13 @@ use std::sync::{Arc, PoisonError, RwLock};
 use std::time::Duration;
 
 use modsram_bigint::UBig;
-use modsram_modmul::{ModMulError, PreparedModMul};
 
 use crate::autotune::{AutoTuner, AutotuneStats, TunePolicy};
 use crate::dispatch::{ContextPool, MulJob};
 use crate::error::CoreError;
 use crate::modsram::ModSramConfig;
 use crate::service::{
-    backend_error, ticket_result, ModSramService, ServiceConfig, ServiceStats, SubmitError, Ticket,
-    TileHealth,
+    ModSramService, ServiceConfig, ServiceStats, SubmitError, Ticket, TileHealth,
 };
 
 /// What the router does when a job's home tile refuses it with
@@ -1421,16 +1419,6 @@ impl ServiceCluster {
         self.handle().try_submit(job)
     }
 
-    /// A [`PreparedModMul`] façade over the cluster for modulus `p`:
-    /// the drop-in that lets engine-generic consumers (curves,
-    /// committers, NTT shards) stream through the router unchanged.
-    pub fn prepared(&self, p: &UBig) -> ClusterPrepared {
-        ClusterPrepared {
-            handle: self.handle(),
-            p: p.clone(),
-        }
-    }
-
     /// Number of tile slots, including drained ones (tile ids are
     /// stable; see [`ServiceCluster::active_tiles`] for the routable
     /// count).
@@ -1908,58 +1896,10 @@ impl Drop for ServiceCluster {
     }
 }
 
-/// A [`PreparedModMul`] whose every multiplication is routed through a
-/// [`ServiceCluster`] — the cluster analogue of
-/// [`crate::service::ServicePrepared`].
-///
-/// Obtained from [`ServiceCluster::prepared`]. `mod_mul` submits one
-/// job and blocks on its ticket; `mod_mul_batch` submits the whole
-/// batch (routed home-tile-major) before waiting, so independent
-/// multiplications still coalesce on their home tile.
-pub struct ClusterPrepared {
-    handle: ClusterHandle,
-    p: UBig,
-}
-
-impl core::fmt::Debug for ClusterPrepared {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "ClusterPrepared {{ p: {} }}", self.p)
-    }
-}
-
-impl PreparedModMul for ClusterPrepared {
-    fn engine_name(&self) -> &'static str {
-        "cluster"
-    }
-
-    fn modulus(&self) -> &UBig {
-        &self.p
-    }
-
-    fn mod_mul(&self, a: &UBig, b: &UBig) -> Result<UBig, ModMulError> {
-        let ticket = self
-            .handle
-            .submit(MulJob::new(a.clone(), b.clone(), self.p.clone()))
-            .map_err(backend_error)?;
-        ticket_result(ticket.wait())
-    }
-
-    fn mod_mul_batch(&self, pairs: &[(UBig, UBig)]) -> Result<Vec<UBig>, ModMulError> {
-        let jobs: Vec<MulJob> = pairs
-            .iter()
-            .map(|(a, b)| MulJob::new(a.clone(), b.clone(), self.p.clone()))
-            .collect();
-        let tickets = self
-            .handle
-            .submit_many(jobs)
-            .map_err(|f| backend_error(f.error))?;
-        tickets.iter().map(|t| ticket_result(t.wait())).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::Backend;
     use crate::test_util::{slow_pool, FailureMode};
     use std::time::Duration;
 
@@ -2221,30 +2161,25 @@ mod tests {
             .map(|i| UBig::from(1_000_003u64 + 2 * i))
             .find(|p| cluster.home_tile(p) == Some(0))
             .expect("some modulus homes on tile 0");
-        // Saturate tile 0 in two phases: the batcher drains the
-        // bounded queue into the exec pipeline within microseconds, so
-        // first let the pipeline absorb its fill (executor + exec
-        // queue + batcher hand-off), then fill the queue itself. It
-        // then stays full until the executor finishes its current
-        // 50 ms multiplication — far past the shutdown below.
+        // Saturate tile 0. Until the executor finishes its first 50 ms multiplication the
+        // tile holds at most five jobs: one executing, one in the exec
+        // queue, one in the batcher's hand-off and two in the bounded
+        // queue. A refusal alone does not prove the queue stays full (the
+        // batcher may still move a queued job into its hand-off), so top
+        // up until all five are accepted: then the queue is full.
         let mut warm = Vec::new();
-        for i in 0..3u64 {
-            if let Ok(t) =
-                cluster.try_submit(MulJob::new(UBig::from(i + 2), UBig::from(3u64), p.clone()))
-            {
-                warm.push(t);
+        for i in 0..1_000u64 {
+            if warm.len() == 5 {
+                break;
             }
-        }
-        std::thread::sleep(Duration::from_millis(10));
-        let mut refused = false;
-        for i in 0..8u64 {
-            match cluster.try_submit(MulJob::new(UBig::from(i + 20), UBig::from(3u64), p.clone())) {
+            match cluster.try_submit(MulJob::new(UBig::from(i + 2), UBig::from(3u64), p.clone())) {
                 Ok(t) => warm.push(t),
-                Err(_) => refused = true,
+                Err(_) => std::thread::sleep(Duration::from_millis(1)),
             }
         }
-        assert!(
-            refused,
+        assert_eq!(
+            cluster.stats().tiles[0].health.queue_depth,
+            2,
             "home tile must be saturated before the blocking submit"
         );
         let shared = Arc::clone(&cluster.shared);
@@ -2628,7 +2563,7 @@ mod tests {
     #[test]
     fn cluster_prepared_streams_through_the_router() {
         let cluster = ServiceCluster::for_engine_name("montgomery", 2, small_config()).unwrap();
-        let ctx = cluster.prepared(&UBig::from(1_000_003u64));
+        let ctx = cluster.context(&UBig::from(1_000_003u64)).unwrap();
         assert_eq!(ctx.engine_name(), "cluster");
         assert_eq!(ctx.modulus(), &UBig::from(1_000_003u64));
         assert_eq!(

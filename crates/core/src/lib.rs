@@ -100,8 +100,8 @@ pub use memmap::{MemoryMap, PointAddWorkingSet};
 pub use modsram::{ModSram, ModSramConfig, PreparedModSram};
 pub use nmc::Nmc;
 pub use service::{
-    ExecBackend, ModSramService, ServiceConfig, ServiceError, ServiceStats, SubmitError,
-    SubmitHandle, Ticket, TileHealth,
+    Backend, ModSramService, ServiceConfig, ServiceError, ServiceStats, SubmitError, SubmitHandle,
+    Ticket, TileHealth,
 };
 pub use session::{ScratchSession, SessionStats, StagedPoint};
 pub use stats::{PrecomputeStats, RunStats};

@@ -26,6 +26,14 @@
 //!   [`ContextPool`]. Results are routed back to tickets in
 //!   submission order regardless of the coalesced execution order.
 //!
+//! Engine-generic consumers (curves, Pedersen committers, NTT stages,
+//! ECDSA batch verification) reach the service through [`Backend`], a
+//! one-method trait handing out the prepared context for a modulus. Its
+//! three implementors are [`ContextPool`] (the pooled context itself),
+//! [`ModSramService`] and [`ServiceCluster`] (a context whose batches
+//! stream through the queue, so one consumer codebase serves a batch
+//! tool, one shared tile, or a multi-tile cluster).
+//!
 //! [`ModSramService::shutdown`] closes the queue, lets the batcher
 //! drain every in-flight ticket, and returns the final
 //! [`ServiceStats`] (queue depth, coalesce sizes, and p50/p99 latency
@@ -61,7 +69,7 @@ use modsram_bigint::UBig;
 use modsram_modmul::{ModMulError, PreparedModMul};
 
 use crate::autotune::{AutotuneStats, TunePolicy};
-use crate::cluster::ServiceCluster;
+use crate::cluster::{ClusterHandle, ServiceCluster};
 use crate::dispatch::{ContextPool, Dispatcher, MulJob, StealPolicy};
 use crate::error::CoreError;
 use crate::modsram::ModSramConfig;
@@ -311,9 +319,13 @@ struct QueueInner {
 }
 
 /// Fixed-size reservoir sample of `u64` observations with a
-/// deterministic xorshift replacement stream — bounded memory no matter
-/// how long the service runs, unbiased enough for p50/p99 reporting.
-struct Reservoir {
+/// deterministic xorshift64* replacement stream: bounded memory no
+/// matter how long the owner runs, unbiased enough for p50/p99
+/// reporting. The service's wall/cycle latencies and the wire server's
+/// request-to-response latencies both sample through this one type, so
+/// percentile quality matches across their artifacts.
+#[derive(Debug)]
+pub struct Reservoir {
     cap: usize,
     seen: u64,
     rng: u64,
@@ -321,7 +333,8 @@ struct Reservoir {
 }
 
 impl Reservoir {
-    fn new(cap: usize) -> Self {
+    /// An empty reservoir keeping at most `cap` samples (at least 1).
+    pub fn new(cap: usize) -> Self {
         Reservoir {
             cap: cap.max(1),
             seen: 0,
@@ -340,7 +353,8 @@ impl Reservoir {
         x.wrapping_mul(0x2545_F491_4F6C_DD1D)
     }
 
-    fn push(&mut self, v: u64) {
+    /// Records one observation.
+    pub fn push(&mut self, v: u64) {
         self.seen += 1;
         if self.samples.len() < self.cap {
             self.samples.push(v);
@@ -354,22 +368,22 @@ impl Reservoir {
 
     /// Forgets every observation (the sample and the seen-count); the
     /// replacement stream keeps its position so refilled windows stay
-    /// deterministic per service lifetime.
-    fn clear(&mut self) {
+    /// deterministic per owner lifetime.
+    pub fn clear(&mut self) {
         self.seen = 0;
         self.samples.clear();
     }
 
-    /// Nearest-rank percentile over the sample (`q` in `[0, 1]`); 0
-    /// when nothing has been observed.
-    fn percentile(&self, q: f64) -> u64 {
-        if self.samples.is_empty() {
-            return 0;
-        }
+    /// Nearest-rank percentiles over the sample, one per entry of `qs`
+    /// (each in `[0, 1]`), from a single sort; 0 when nothing has been
+    /// observed.
+    pub fn percentiles<const N: usize>(&self, qs: [f64; N]) -> [u64; N] {
         let mut sorted = self.samples.clone();
         sorted.sort_unstable();
-        let rank = ((sorted.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
-        sorted.get(rank).copied().unwrap_or(0)
+        qs.map(|q| {
+            let rank = (sorted.len().saturating_sub(1) as f64 * q.clamp(0.0, 1.0)).round();
+            sorted.get(rank as usize).copied().unwrap_or(0)
+        })
     }
 }
 
@@ -952,17 +966,6 @@ impl ModSramService {
         self.handle().try_submit(job)
     }
 
-    /// A [`PreparedModMul`] façade over this service for modulus `p`:
-    /// every `mod_mul` submits through the queue, so existing
-    /// engine-generic consumers (curves, committers, NTT shards)
-    /// stream their multiplications through the shared tile.
-    pub fn prepared(&self, p: &UBig) -> ServicePrepared {
-        ServicePrepared {
-            handle: self.handle(),
-            p: p.clone(),
-        }
-    }
-
     /// The shared context pool (for staged callers riding the same
     /// preparations).
     pub fn pool(&self) -> &Arc<ContextPool> {
@@ -985,14 +988,16 @@ impl ModSramService {
         let window_batches = s.window_batches.load(Ordering::Relaxed);
         let window_jobs = s.window_jobs.load(Ordering::Relaxed);
         let min = s.coalesce_min.load(Ordering::Relaxed);
-        let (wall_p50, wall_p99) = {
-            let r = s.wall_ns.lock().unwrap_or_else(PoisonError::into_inner);
-            (r.percentile(0.50), r.percentile(0.99))
-        };
-        let (cyc_p50, cyc_p99) = {
-            let r = s.cycles.lock().unwrap_or_else(PoisonError::into_inner);
-            (r.percentile(0.50), r.percentile(0.99))
-        };
+        let [wall_p50, wall_p99] = s
+            .wall_ns
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .percentiles([0.50, 0.99]);
+        let [cyc_p50, cyc_p99] = s
+            .cycles
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .percentiles([0.50, 0.99]);
         ServiceStats {
             queue_depth: self.queue_depth(),
             submitted: s.submitted.load(Ordering::Relaxed),
@@ -1320,26 +1325,7 @@ fn execute_batch(
     stats.failed.fetch_add(errs, Ordering::Relaxed);
 }
 
-/// A [`PreparedModMul`] whose every multiplication streams through a
-/// [`ModSramService`] — the bridge that lets engine-generic consumers
-/// (curves over dynamic field contexts, Pedersen committers, NTT
-/// shards) interleave on one shared tile.
-///
-/// Obtained from [`ModSramService::prepared`]. `mod_mul` submits one
-/// job and blocks on its ticket; `mod_mul_batch` submits the whole
-/// batch before waiting, so independent multiplications coalesce.
-pub struct ServicePrepared {
-    handle: SubmitHandle,
-    p: UBig,
-}
-
-impl core::fmt::Debug for ServicePrepared {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "ServicePrepared {{ p: {} }}", self.p)
-    }
-}
-
-pub(crate) fn backend_error(e: impl core::fmt::Display) -> ModMulError {
+fn backend_error(e: impl core::fmt::Display) -> ModMulError {
     ModMulError::Backend {
         reason: e.to_string(),
     }
@@ -1348,7 +1334,7 @@ pub(crate) fn backend_error(e: impl core::fmt::Display) -> ModMulError {
 /// Unwraps a ticket result into the engine error space: algorithmic
 /// errors pass through, service-level failures become
 /// [`ModMulError::Backend`].
-pub(crate) fn ticket_result(result: Result<UBig, ServiceError>) -> Result<UBig, ModMulError> {
+fn ticket_result(result: Result<UBig, ServiceError>) -> Result<UBig, ModMulError> {
     match result {
         Ok(v) => Ok(v),
         Err(ServiceError::Mul(CoreError::ModMul(e))) => Err(e),
@@ -1356,9 +1342,81 @@ pub(crate) fn ticket_result(result: Result<UBig, ServiceError>) -> Result<UBig, 
     }
 }
 
-impl PreparedModMul for ServicePrepared {
+/// Where batch consumers get their modular multiplications executed:
+/// one prepared context per modulus, shared by every multiplication the
+/// consumer issues for it.
+///
+/// The curve constructors (`ecc::curves::secp256k1_via` and friends),
+/// `NttPlan::forward_via`/`inverse_via`, `PedersenCommitter::new_via`
+/// and `apps::ecdsa::verify_batch` take a `&dyn Backend`, so the same
+/// verification/NTT/MSM code serves a batch CLI tool and a mixed-tenant
+/// server. The three implementors:
+///
+/// * [`ContextPool`] returns its pooled context, so the consumer runs
+///   the multiplications on its own threads;
+/// * [`ModSramService`] returns a context whose every batch streams
+///   through the service queue, coalescing with other tenants;
+/// * [`ServiceCluster`] does the same through the cluster router, each
+///   job homing on its modulus's tile.
+pub trait Backend: Send + Sync {
+    /// A shareable prepared context for `p`.
+    ///
+    /// # Errors
+    ///
+    /// A pool's preparation error. The service and cluster never fail
+    /// here: an invalid modulus, a paused tile or a stopped queue
+    /// surfaces on first use as [`ModMulError::Backend`] (or the
+    /// engine's own algorithmic error).
+    fn context(&self, p: &UBig) -> Result<Arc<dyn PreparedModMul>, CoreError>;
+}
+
+impl Backend for ContextPool {
+    fn context(&self, p: &UBig) -> Result<Arc<dyn PreparedModMul>, CoreError> {
+        ContextPool::context(self, p)
+    }
+}
+
+impl Backend for ModSramService {
+    fn context(&self, p: &UBig) -> Result<Arc<dyn PreparedModMul>, CoreError> {
+        Ok(Arc::new(Streamed {
+            queue: Queue::Service(self.handle()),
+            p: p.clone(),
+        }))
+    }
+}
+
+impl Backend for ServiceCluster {
+    fn context(&self, p: &UBig) -> Result<Arc<dyn PreparedModMul>, CoreError> {
+        Ok(Arc::new(Streamed {
+            queue: Queue::Cluster(self.handle()),
+            p: p.clone(),
+        }))
+    }
+}
+
+/// The submission endpoint a [`Streamed`] context feeds.
+enum Queue {
+    Service(SubmitHandle),
+    Cluster(ClusterHandle),
+}
+
+/// The [`PreparedModMul`] a service or cluster hands out from
+/// [`Backend::context`]: `mod_mul_batch` submits the whole batch
+/// before waiting on any ticket, so independent multiplications
+/// coalesce on the tile; `mod_mul` is a one-pair batch. Submission
+/// refusals (paused, stopped, saturated) surface as
+/// [`ModMulError::Backend`] carrying the refusal's text.
+struct Streamed {
+    queue: Queue,
+    p: UBig,
+}
+
+impl PreparedModMul for Streamed {
     fn engine_name(&self) -> &'static str {
-        "service"
+        match self.queue {
+            Queue::Service(_) => "service",
+            Queue::Cluster(_) => "cluster",
+        }
     }
 
     fn modulus(&self) -> &UBig {
@@ -1366,11 +1424,9 @@ impl PreparedModMul for ServicePrepared {
     }
 
     fn mod_mul(&self, a: &UBig, b: &UBig) -> Result<UBig, ModMulError> {
-        let ticket = self
-            .handle
-            .submit(MulJob::new(a.clone(), b.clone(), self.p.clone()))
-            .map_err(backend_error)?;
-        ticket_result(ticket.wait())
+        self.mod_mul_batch(&[(a.clone(), b.clone())])?
+            .pop()
+            .ok_or_else(|| backend_error("a one-job batch returned no product"))
     }
 
     fn mod_mul_batch(&self, pairs: &[(UBig, UBig)]) -> Result<Vec<UBig>, ModMulError> {
@@ -1378,104 +1434,13 @@ impl PreparedModMul for ServicePrepared {
             .iter()
             .map(|(a, b)| MulJob::new(a.clone(), b.clone(), self.p.clone()))
             .collect();
-        let tickets = self.handle.submit_many(jobs).map_err(backend_error)?;
+        let tickets = match &self.queue {
+            Queue::Service(handle) => handle.submit_many(jobs).map_err(backend_error)?,
+            Queue::Cluster(handle) => handle
+                .submit_many(jobs)
+                .map_err(|failure| backend_error(failure.error))?,
+        };
         tickets.iter().map(|t| ticket_result(t.wait())).collect()
-    }
-}
-
-/// The two ways batch consumers execute their modular multiplications:
-/// a **one-shot** staged dispatch the caller owns end to end, or a
-/// **shared** streaming service multiple consumers feed concurrently.
-///
-/// The dispatched NTT (`NttPlan::forward_via`), the `*_via` curve
-/// constructors, and `apps::ecdsa::verify_batch_via` take this, so the
-/// same verification/NTT/MSM code serves both a batch CLI tool and a
-/// mixed-tenant server.
-pub enum ExecBackend<'a> {
-    /// Stage whole batches through a caller-owned dispatcher and pool.
-    Staged {
-        /// The dispatcher executing each staged batch.
-        dispatcher: &'a Dispatcher,
-        /// Per-modulus context cache.
-        pool: &'a ContextPool,
-    },
-    /// Stream every job through a shared service queue.
-    Service(&'a ModSramService),
-    /// Stream every job through a multi-tile cluster: the router picks
-    /// each job's home tile by modulus affinity (spilling on
-    /// backpressure per the cluster's policy), so the same consumer
-    /// code scales from one macro to a rack of them.
-    Cluster(&'a ServiceCluster),
-}
-
-impl core::fmt::Debug for ExecBackend<'_> {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            ExecBackend::Staged { dispatcher, .. } => {
-                write!(
-                    f,
-                    "ExecBackend::Staged {{ workers: {} }}",
-                    dispatcher.workers()
-                )
-            }
-            ExecBackend::Service(_) => write!(f, "ExecBackend::Service"),
-            ExecBackend::Cluster(cluster) => {
-                write!(f, "ExecBackend::Cluster {{ tiles: {} }}", cluster.tiles())
-            }
-        }
-    }
-}
-
-impl ExecBackend<'_> {
-    /// Executes a batch of jobs, returning products in job order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first preparation/execution error; a stopped
-    /// service surfaces as [`CoreError::ServiceStopped`], a stopped
-    /// cluster as [`CoreError::ClusterStopped`].
-    pub fn mul_jobs(&self, jobs: &[MulJob]) -> Result<Vec<UBig>, CoreError> {
-        match self {
-            ExecBackend::Staged { dispatcher, pool } => {
-                dispatcher.dispatch_jobs(pool, jobs).map(|(r, _)| r)
-            }
-            ExecBackend::Service(service) => {
-                let tickets = service
-                    .handle()
-                    .submit_many(jobs.to_vec())
-                    .map_err(|_| CoreError::ServiceStopped)?;
-                tickets
-                    .iter()
-                    .map(|t| t.wait().map_err(CoreError::from))
-                    .collect()
-            }
-            ExecBackend::Cluster(cluster) => {
-                let tickets = cluster
-                    .handle()
-                    .submit_many(jobs.to_vec())
-                    .map_err(|failure| CoreError::from(failure.error))?;
-                tickets
-                    .iter()
-                    .map(|t| t.wait().map_err(CoreError::from))
-                    .collect()
-            }
-        }
-    }
-
-    /// A shareable prepared context for `p`: the pooled context on the
-    /// staged path, a [`ServicePrepared`] stream on the service path, a
-    /// cluster-routed stream on the cluster path.
-    ///
-    /// # Errors
-    ///
-    /// Staged: the pool's preparation error. Service/cluster: never
-    /// fails here — invalid moduli surface on first use.
-    pub fn context(&self, p: &UBig) -> Result<Arc<dyn PreparedModMul>, CoreError> {
-        match self {
-            ExecBackend::Staged { pool, .. } => pool.context(p),
-            ExecBackend::Service(service) => Ok(Arc::new(service.prepared(p))),
-            ExecBackend::Cluster(cluster) => Ok(Arc::new(cluster.prepared(p))),
-        }
     }
 }
 
@@ -1676,7 +1641,7 @@ mod tests {
     #[test]
     fn service_prepared_context_multiplies() {
         let service = ModSramService::for_engine_name("montgomery", tiny_config()).unwrap();
-        let ctx = service.prepared(&UBig::from(1_000_003u64));
+        let ctx = service.context(&UBig::from(1_000_003u64)).unwrap();
         assert_eq!(ctx.engine_name(), "service");
         assert_eq!(ctx.modulus(), &UBig::from(1_000_003u64));
         assert_eq!(
@@ -1698,15 +1663,19 @@ mod tests {
             .chain(jobs_mod(1_000_003, 9))
             .collect();
         let pool = ContextPool::for_engine_name("barrett").unwrap();
-        let dispatcher = Dispatcher::new(2);
-        let staged = ExecBackend::Staged {
-            dispatcher: &dispatcher,
-            pool: &pool,
-        }
-        .mul_jobs(&jobs)
-        .unwrap();
         let service = ModSramService::for_engine_name("barrett", tiny_config()).unwrap();
-        let streamed = ExecBackend::Service(&service).mul_jobs(&jobs).unwrap();
+        let run = |backend: &dyn Backend| -> Vec<UBig> {
+            jobs.chunks(9)
+                .flat_map(|same_p| {
+                    let pairs: Vec<(UBig, UBig)> =
+                        same_p.iter().map(|j| (j.a.clone(), j.b.clone())).collect();
+                    let ctx = backend.context(&same_p[0].modulus).unwrap();
+                    ctx.mod_mul_batch(&pairs).unwrap()
+                })
+                .collect()
+        };
+        let staged = run(&pool);
+        let streamed = run(&service);
         assert_eq!(staged, streamed);
         for (job, got) in jobs.iter().zip(&staged) {
             assert_eq!(got, &(&(&job.a * &job.b) % &job.modulus));
@@ -1741,9 +1710,9 @@ mod tests {
         for v in 1..=100u64 {
             r.push(v);
         }
-        assert_eq!(r.percentile(0.0), 1);
-        assert_eq!(r.percentile(1.0), 100);
-        let p50 = r.percentile(0.5);
+        let [lo, p50, hi] = r.percentiles([0.0, 0.5, 1.0]);
+        assert_eq!(lo, 1);
+        assert_eq!(hi, 100);
         assert!((49..=52).contains(&p50), "p50 {p50}");
         // Overflow the capacity: samples stay bounded, stats plausible.
         let mut r = Reservoir::new(16);
@@ -1751,6 +1720,6 @@ mod tests {
             r.push(v);
         }
         assert_eq!(r.samples.len(), 16);
-        assert!(r.percentile(1.0) <= 9_999);
+        assert!(r.percentiles([1.0])[0] <= 9_999);
     }
 }

@@ -395,25 +395,27 @@ fn blocked_submit_rideses_out_a_drain_of_its_home() {
         .map(|i| UBig::from(1_000_003u64 + 2 * i))
         .find(|p| cluster.home_tile(p) == Some(0))
         .expect("some modulus homes on tile 0");
-    // Saturate tile 0: pipeline first (the batcher empties the queue
-    // within microseconds), then the queue itself.
+    // Saturate tile 0. Until the executor finishes its first 50 ms multiplication the
+    // tile holds at most five jobs: one executing, one in the exec
+    // queue, one in the batcher's hand-off and two in the bounded
+    // queue. A refusal alone does not prove the queue stays full (the
+    // batcher may still move a queued job into its hand-off), so top
+    // up until all five are accepted: then the queue is full.
     let mut warm = Vec::new();
-    for i in 0..3u64 {
-        if let Ok(t) =
-            cluster.try_submit(MulJob::new(UBig::from(i + 2), UBig::from(3u64), p.clone()))
-        {
-            warm.push(t);
+    for i in 0..1_000u64 {
+        if warm.len() == 5 {
+            break;
         }
-    }
-    std::thread::sleep(Duration::from_millis(10));
-    let mut refused = false;
-    for i in 0..8u64 {
-        match cluster.try_submit(MulJob::new(UBig::from(i + 20), UBig::from(3u64), p.clone())) {
+        match cluster.try_submit(MulJob::new(UBig::from(i + 2), UBig::from(3u64), p.clone())) {
             Ok(t) => warm.push(t),
-            Err(_) => refused = true,
+            Err(_) => std::thread::sleep(Duration::from_millis(1)),
         }
     }
-    assert!(refused, "home tile must be saturated first");
+    assert_eq!(
+        cluster.stats().tiles[0].health.queue_depth,
+        2,
+        "home tile must be saturated first"
+    );
 
     let job = MulJob::new(UBig::from(11u64), UBig::from(13u64), p.clone());
     let want = oracle(&job);

@@ -149,11 +149,13 @@ fn window_sum<C: FieldCtx>(
 /// closes over a pooled `Arc<dyn PreparedModMul>`) and computes whole
 /// window sums; only the final `c`-doubling combine runs serially.
 ///
-/// `make_curve` is also how the MSM accepts either execution backend:
+/// `make_curve` is also how the MSM accepts any execution backend:
 /// build it from `curves::secp256k1_via`/`curves::bn254_via` over a
-/// [`modsram_core::service::ExecBackend`] and the window workers'
-/// field multiplications either hit staged pooled contexts or stream
-/// through a shared `ModSramService` alongside other tenants.
+/// [`modsram_core::service::Backend`] — e.g. `secp256k1_via(&pool)` or
+/// `secp256k1_via(&service)` — and the window workers' field
+/// multiplications either hit a pooled [`modsram_core::ContextPool`]
+/// context or stream through a shared `ModSramService` or
+/// `ServiceCluster` alongside other tenants.
 ///
 /// # Panics
 ///
@@ -308,7 +310,7 @@ mod tests {
 
     #[test]
     fn dispatched_msm_matches_serial() {
-        use crate::curves::{secp256k1_fast, secp256k1_with_pool};
+        use crate::curves::{secp256k1_fast, secp256k1_via};
         use modsram_core::dispatch::ContextPool;
 
         let fast = secp256k1_fast();
@@ -328,7 +330,7 @@ mod tests {
         // The dispatched path over pooled prepared contexts: every
         // worker's curve shares one preparation through the pool.
         let pool = ContextPool::for_engine_name("montgomery").unwrap();
-        let make_curve = || secp256k1_with_pool(&pool).expect("odd prime");
+        let make_curve = || secp256k1_via(&pool).expect("odd prime");
         let curve = make_curve();
         let points: Vec<Affine<UBig>> = pts_fast
             .iter()
@@ -362,7 +364,7 @@ mod tests {
     #[test]
     fn dispatched_msm_over_streaming_service_matches_serial() {
         use crate::curves::{secp256k1_fast, secp256k1_via};
-        use modsram_core::service::{ExecBackend, ModSramService, ServiceConfig};
+        use modsram_core::service::{ModSramService, ServiceConfig};
 
         let fast = secp256k1_fast();
         let g = fast.generator();
@@ -378,8 +380,7 @@ mod tests {
 
         let service =
             ModSramService::for_engine_name("montgomery", ServiceConfig::default()).unwrap();
-        let backend = ExecBackend::Service(&service);
-        let make_curve = || secp256k1_via(&backend).expect("service context");
+        let make_curve = || secp256k1_via(&service).expect("service context");
         let points: Vec<Affine<UBig>> = pts_fast
             .iter()
             .map(|a| Affine {
@@ -406,12 +407,12 @@ mod tests {
 
     #[test]
     fn dispatched_msm_empty_input() {
-        use crate::curves::secp256k1_with_pool;
+        use crate::curves::secp256k1_via;
         use modsram_core::dispatch::ContextPool;
         let pool = ContextPool::for_engine_name("barrett").unwrap();
         let d = Dispatcher::new(2);
-        let (r, stats) = msm_dispatched(&d, || secp256k1_with_pool(&pool).unwrap(), &[], &[], 4);
-        let curve = secp256k1_with_pool(&pool).unwrap();
+        let (r, stats) = msm_dispatched(&d, || secp256k1_via(&pool).unwrap(), &[], &[], 4);
+        let curve = secp256k1_via(&pool).unwrap();
         assert!(curve.is_identity(&r));
         assert_eq!(stats.bucket_adds, 0);
     }

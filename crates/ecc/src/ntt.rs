@@ -5,11 +5,8 @@
 //! `r − 1` is divisible by `2^s` (BN254's scalar field has `s = 28`,
 //! plenty for the paper's `2¹⁵`-point transforms).
 
-use std::sync::Arc;
-
 use modsram_bigint::{mod_pow, UBig};
-use modsram_core::dispatch::{Dispatcher, MulJob};
-use modsram_core::service::ExecBackend;
+use modsram_core::service::Backend;
 use modsram_core::CoreError;
 use modsram_modmul::PreparedModMul;
 
@@ -180,47 +177,23 @@ impl<'a, C: FieldCtx> NttPlan<'a, C> {
     }
 }
 
-/// The dispatched execution path: available when the plan's field
-/// context is engine-backed ([`DynCtx`]), whose elements are canonical
-/// `UBig` residues that a [`PreparedModMul`] shard can multiply
-/// directly.
+/// The backend execution path: available when the plan's field context
+/// is engine-backed ([`DynCtx`]), whose elements are canonical `UBig`
+/// residues that a [`Backend`] context can multiply directly.
 ///
 /// Each butterfly stage is one *layer*: all `n/2` twiddle
-/// multiplications of the stage are independent, so they are submitted
-/// as a single batch, ordered twiddle-major — every run of consecutive
-/// pairs shares its multiplicand, which is exactly the reuse pattern
-/// the radix-4 LUT engines and the ModSRAM device amortise (`B`
-/// wordlines rewritten only on change). The cheap adds/subs between
-/// stages stay serial on the plan's context.
+/// multiplications of the stage are independent, so they run as a
+/// single `mod_mul_batch`, ordered twiddle-major — every run of
+/// consecutive pairs shares its multiplicand, which is exactly the
+/// reuse pattern the radix-4 LUT engines and the ModSRAM device
+/// amortise (`B` wordlines rewritten only on change). The cheap
+/// adds/subs between stages stay serial on the plan's context.
 impl<'a> NttPlan<'a, DynCtx> {
-    /// In-place forward NTT with every stage's multiplications fanned
-    /// out over `shards` by `dispatcher`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first shard multiplication error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != self.len()`, `shards` is empty, or a
-    /// shard was prepared for a different modulus.
-    pub fn forward_dispatched(
-        &self,
-        data: &mut [UBig],
-        dispatcher: &Dispatcher,
-        shards: &[Arc<dyn PreparedModMul>],
-    ) -> Result<(), CoreError> {
-        self.check_shards(shards);
-        self.transform_with(data, &self.twiddles, &|pairs| {
-            dispatcher.dispatch_sharded(shards, &pairs).map(|(r, _)| r)
-        })
-    }
-
-    /// In-place forward NTT over either execution backend: each stage's
-    /// multiplications go out as one twiddle-major job batch — staged
-    /// through a dispatcher/pool, or streamed through a shared
-    /// [`modsram_core::ModSramService`] where they coalesce with
-    /// whatever other tenants are submitting.
+    /// In-place forward NTT with each stage's multiplications run as one
+    /// batch on `backend.context(p)`: on the calling thread for a
+    /// [`modsram_core::ContextPool`], or streamed through a shared
+    /// service or cluster, where they coalesce with whatever other
+    /// tenants are submitting.
     ///
     /// # Errors
     ///
@@ -229,16 +202,13 @@ impl<'a> NttPlan<'a, DynCtx> {
     /// # Panics
     ///
     /// Panics if `data.len() != self.len()`.
-    pub fn forward_via(
-        &self,
-        data: &mut [UBig],
-        backend: &ExecBackend<'_>,
-    ) -> Result<(), CoreError> {
-        self.transform_with(data, &self.twiddles, &self.backend_exec(backend))
+    pub fn forward_via(&self, data: &mut [UBig], backend: &dyn Backend) -> Result<(), CoreError> {
+        let ctx = backend.context(self.ctx.modulus())?;
+        self.transform_with(data, &self.twiddles, &*ctx)
     }
 
-    /// In-place inverse NTT over either execution backend (the `1/n`
-    /// scaling is one further shared-multiplicand batch).
+    /// In-place inverse NTT over `backend` (the `1/n` scaling is one
+    /// further shared-multiplicand batch).
     ///
     /// # Errors
     ///
@@ -247,89 +217,25 @@ impl<'a> NttPlan<'a, DynCtx> {
     /// # Panics
     ///
     /// Panics if `data.len() != self.len()`.
-    pub fn inverse_via(
-        &self,
-        data: &mut [UBig],
-        backend: &ExecBackend<'_>,
-    ) -> Result<(), CoreError> {
-        let exec = self.backend_exec(backend);
-        self.transform_with(data, &self.twiddles_inv, &exec)?;
+    pub fn inverse_via(&self, data: &mut [UBig], backend: &dyn Backend) -> Result<(), CoreError> {
+        let ctx = backend.context(self.ctx.modulus())?;
+        self.transform_with(data, &self.twiddles_inv, &*ctx)?;
         let pairs: Vec<(UBig, UBig)> = data
             .iter()
             .map(|v| (v.clone(), self.n_inv.clone()))
             .collect();
-        let scaled = exec(pairs)?;
+        let scaled = ctx.mod_mul_batch(&pairs)?;
         data.clone_from_slice(&scaled);
         Ok(())
     }
 
-    /// Adapts an [`ExecBackend`] into the stage executor shape: pairs
-    /// become [`MulJob`]s over the plan's modulus.
-    fn backend_exec<'b>(
-        &self,
-        backend: &'b ExecBackend<'_>,
-    ) -> impl Fn(Vec<(UBig, UBig)>) -> Result<Vec<UBig>, CoreError> + 'b
-    where
-        Self: 'b,
-    {
-        let modulus = self.ctx.modulus().clone();
-        move |pairs: Vec<(UBig, UBig)>| {
-            let jobs: Vec<MulJob> = pairs
-                .into_iter()
-                .map(|(a, b)| MulJob::new(a, b, modulus.clone()))
-                .collect();
-            backend.mul_jobs(&jobs)
-        }
-    }
-
-    /// In-place inverse NTT through the dispatcher; the final `1/n`
-    /// scaling is itself one shared-multiplicand batch.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first shard multiplication error.
-    ///
-    /// # Panics
-    ///
-    /// As [`NttPlan::forward_dispatched`].
-    pub fn inverse_dispatched(
-        &self,
-        data: &mut [UBig],
-        dispatcher: &Dispatcher,
-        shards: &[Arc<dyn PreparedModMul>],
-    ) -> Result<(), CoreError> {
-        self.check_shards(shards);
-        self.transform_with(data, &self.twiddles_inv, &|pairs| {
-            dispatcher.dispatch_sharded(shards, &pairs).map(|(r, _)| r)
-        })?;
-        let pairs: Vec<(UBig, UBig)> = data
-            .iter()
-            .map(|v| (v.clone(), self.n_inv.clone()))
-            .collect();
-        let (scaled, _) = dispatcher.dispatch_sharded(shards, &pairs)?;
-        data.clone_from_slice(&scaled);
-        Ok(())
-    }
-
-    /// Validates the sharded path's contexts against the plan modulus.
-    fn check_shards(&self, shards: &[Arc<dyn PreparedModMul>]) {
-        assert!(!shards.is_empty(), "need at least one shard");
-        for shard in shards {
-            assert_eq!(
-                shard.modulus(),
-                self.ctx.modulus(),
-                "shard prepared for a different modulus"
-            );
-        }
-    }
-
-    /// The stage-batched transform core, generic over how each stage's
-    /// pair batch is executed.
+    /// The stage-batched transform core: one `mod_mul_batch` on `exec`
+    /// per butterfly stage.
     fn transform_with(
         &self,
         data: &mut [UBig],
         twiddles: &[Vec<UBig>],
-        exec: &impl Fn(Vec<(UBig, UBig)>) -> Result<Vec<UBig>, CoreError>,
+        exec: &dyn PreparedModMul,
     ) -> Result<(), CoreError> {
         let n = self.len();
         assert_eq!(data.len(), n, "data length must match the plan");
@@ -340,7 +246,7 @@ impl<'a> NttPlan<'a, DynCtx> {
                 data.swap(i, j);
             }
         }
-        // One dispatched batch per butterfly stage, twiddle-major so
+        // One batch per butterfly stage, twiddle-major so
         // consecutive pairs share their multiplicand.
         let ctx = self.ctx;
         for (s, table) in twiddles.iter().enumerate() {
@@ -351,7 +257,7 @@ impl<'a> NttPlan<'a, DynCtx> {
                     pairs.push((data[start + k + len / 2].clone(), w.clone()));
                 }
             }
-            let products = exec(pairs)?;
+            let products = exec.mod_mul_batch(&pairs)?;
             let mut idx = 0usize;
             for k in 0..len / 2 {
                 for start in (0..n).step_by(len) {
@@ -460,11 +366,12 @@ mod tests {
 
     #[test]
     fn dispatched_transform_matches_serial() {
-        use modsram_core::dispatch::ContextPool;
+        use modsram_core::dispatch::{ContextPool, Dispatcher};
         use modsram_modmul::engine_by_name;
 
         // Plan over an engine-backed context for BN254 Fr, then run the
-        // same transform serially and through sharded dispatch.
+        // same transform serially and as dispatcher-fanned transforms
+        // over one pool backend.
         let fr = crate::curves::bn254_fr_ctx();
         let p = fr.modulus().clone();
         let dyn_ctx = crate::field::DynCtx::new(&p, engine_by_name("montgomery").unwrap());
@@ -477,18 +384,30 @@ mod tests {
         plan.forward(&mut serial);
 
         let pool = ContextPool::for_engine_name("montgomery").unwrap();
-        let shards: Vec<_> = (0..3).map(|_| pool.context(&p).unwrap()).collect();
         for workers in [1usize, 4] {
             let d = Dispatcher::new(workers);
-            let mut dispatched = original.clone();
-            plan.forward_dispatched(&mut dispatched, &d, &shards)
+            let (outs, _) = d
+                .run_items(
+                    3,
+                    |_| crate::field::DynCtx::new(&p, engine_by_name("montgomery").unwrap()),
+                    |worker_ctx, _| -> Result<_, CoreError> {
+                        // Field contexts are per-worker; the pool's
+                        // prepared context is what the workers share.
+                        let plan = NttPlan::new(worker_ctx, 5, &UBig::from(5u64)).unwrap();
+                        let mut data = original.clone();
+                        plan.forward_via(&mut data, &pool)?;
+                        let forward = data.clone();
+                        plan.inverse_via(&mut data, &pool)?;
+                        Ok((forward, data))
+                    },
+                )
                 .unwrap();
-            assert_eq!(dispatched, serial, "workers={workers}");
-            plan.inverse_dispatched(&mut dispatched, &d, &shards)
-                .unwrap();
-            assert_eq!(dispatched, original, "workers={workers}");
+            for (forward, back) in outs {
+                assert_eq!(forward, serial, "workers={workers}");
+                assert_eq!(back, original, "workers={workers}");
+            }
         }
-        assert_eq!(pool.misses(), 1, "shards share one preparation");
+        assert_eq!(pool.misses(), 1, "transforms share one preparation");
     }
 
     #[test]
@@ -504,28 +423,23 @@ mod tests {
         let mut serial = original.clone();
         plan.forward(&mut serial);
 
-        // Staged backend: dispatcher + pool.
+        // Pool backend: the pooled context runs every stage in place.
         let pool = ContextPool::for_engine_name("montgomery").unwrap();
-        let dispatcher = Dispatcher::new(2);
-        let staged = ExecBackend::Staged {
-            dispatcher: &dispatcher,
-            pool: &pool,
-        };
         let mut data = original.clone();
-        plan.forward_via(&mut data, &staged).unwrap();
+        plan.forward_via(&mut data, &pool).unwrap();
         assert_eq!(data, serial);
-        plan.inverse_via(&mut data, &staged).unwrap();
+        plan.inverse_via(&mut data, &pool).unwrap();
         assert_eq!(data, original);
+        assert_eq!(pool.misses(), 1, "every stage shares one preparation");
 
         // Streaming backend: every butterfly multiplication rides the
         // service queue and coalesces twiddle-major.
         let service =
             ModSramService::for_engine_name("montgomery", ServiceConfig::default()).unwrap();
-        let streamed = ExecBackend::Service(&service);
         let mut data = original.clone();
-        plan.forward_via(&mut data, &streamed).unwrap();
+        plan.forward_via(&mut data, &service).unwrap();
         assert_eq!(data, serial);
-        plan.inverse_via(&mut data, &streamed).unwrap();
+        plan.inverse_via(&mut data, &service).unwrap();
         assert_eq!(data, original);
         let stats = service.shutdown();
         assert_eq!(stats.failed, 0);
@@ -538,11 +452,10 @@ mod tests {
         use modsram_core::cluster::{ClusterConfig, ServiceCluster};
         let cluster =
             ServiceCluster::for_engine_name("montgomery", 2, ClusterConfig::default()).unwrap();
-        let routed = ExecBackend::Cluster(&cluster);
         let mut data = original.clone();
-        plan.forward_via(&mut data, &routed).unwrap();
+        plan.forward_via(&mut data, &cluster).unwrap();
         assert_eq!(data, serial);
-        plan.inverse_via(&mut data, &routed).unwrap();
+        plan.inverse_via(&mut data, &cluster).unwrap();
         assert_eq!(data, original);
         let stats = cluster.shutdown();
         assert_eq!(stats.failed, 0);
@@ -553,15 +466,33 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "different modulus")]
-    fn dispatched_transform_rejects_foreign_shards() {
-        use modsram_modmul::{DirectEngine, ModMulEngine};
-        let ctx = crate::field::DynCtx::new(&UBig::from(97u64), Box::new(DirectEngine::new()));
-        let plan = NttPlan::new(&ctx, 3, &UBig::from(5u64)).unwrap();
-        let shard: Arc<dyn PreparedModMul> =
-            Arc::from(DirectEngine::new().prepare(&UBig::from(101u64)).unwrap());
-        let mut data: Vec<UBig> = (0..8u64).map(UBig::from).collect();
-        let _ = plan.forward_dispatched(&mut data, &Dispatcher::new(2), &[shard]);
+    fn paused_service_reports_the_pause_not_a_shutdown() {
+        use modsram_core::service::{ModSramService, ServiceConfig};
+        use modsram_modmul::engine_by_name;
+
+        let p = UBig::from(97u64);
+        let dyn_ctx = crate::field::DynCtx::new(&p, engine_by_name("montgomery").unwrap());
+        let plan = NttPlan::new(&dyn_ctx, 3, &UBig::from(5u64)).unwrap();
+        let original: Vec<UBig> = (0..8u64).map(UBig::from).collect();
+        let service =
+            ModSramService::for_engine_name("montgomery", ServiceConfig::default()).unwrap();
+
+        // A paused tile is refusing admissions, not shut down: the
+        // error must say so, since pausing is reversible.
+        service.pause_admissions();
+        let err = plan
+            .forward_via(&mut original.clone(), &service)
+            .unwrap_err();
+        assert_ne!(err, CoreError::ServiceStopped);
+        assert!(err.to_string().contains("paused"), "{err}");
+
+        service.resume_admissions();
+        let mut serial = original.clone();
+        plan.forward(&mut serial);
+        let mut data = original.clone();
+        plan.forward_via(&mut data, &service).unwrap();
+        assert_eq!(data, serial);
+        service.shutdown();
     }
 
     #[test]

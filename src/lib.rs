@@ -190,14 +190,16 @@
 //! checked against the oracle and an identical in-process closed loop
 //! (`results/wire_sweep.json`).
 //!
-//! Batch consumers — `apps::ecdsa::verify_batch_via`, the dispatched
-//! NTT stages, `msm_dispatched` over a `*_via` curve — accept an
-//! [`arch::service::ExecBackend`], so the same code runs one-shot
-//! (staged dispatcher + pool), streams through a shared single-tile
-//! service, or fans across a cluster
-//! ([`ExecBackend::Cluster`](arch::service::ExecBackend::Cluster))
-//! where heterogeneous tenants (ECDSA + Pedersen + NTT) interleave
-//! with per-modulus tile affinity. The [`SpillPolicy`] trade-offs
+//! Batch consumers — `apps::ecdsa::verify_batch`,
+//! `NttPlan::forward_via`/`inverse_via`, `PedersenCommitter::new_via`,
+//! `msm_dispatched` over a `*_via` curve — take a `&dyn`
+//! [`arch::service::Backend`], whose one method hands out the prepared
+//! context for a modulus. Pass a [`arch::ContextPool`] to run the
+//! multiplications on the caller's threads over pooled contexts, a
+//! [`ModSramService`] to stream them through one shared tile, or a
+//! [`ServiceCluster`] to fan them across tiles, where heterogeneous
+//! tenants (ECDSA + Pedersen + NTT) interleave with per-modulus tile
+//! affinity. The [`SpillPolicy`] trade-offs
 //! (affinity and LUT-refill cost vs tail latency under skew) and the
 //! add/drain/probation lifecycle are documented in [`arch::cluster`].
 //!
@@ -389,7 +391,7 @@ pub use modsram_core::cluster::{
 };
 pub use modsram_core::dispatch::MulJob;
 pub use modsram_core::service::{
-    ExecBackend, ModSramService, ServiceConfig, ServiceStats, SubmitError, SubmitHandle, Ticket,
+    Backend, ModSramService, ServiceConfig, ServiceStats, SubmitError, SubmitHandle, Ticket,
 };
 
 pub use modsram_apps as apps;
