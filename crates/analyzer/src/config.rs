@@ -123,6 +123,12 @@ impl Config {
                     path: "crates/modmul/src/",
                     ban_indexing: false,
                 },
+                // The one Montgomery kernel (`mont_mul_limbs`) under
+                // the montgomery engine and `MontCtx256`.
+                HotPathSpec {
+                    path: "crates/bigint/src/mont256.rs",
+                    ban_indexing: false,
+                },
                 // Dispatch workers and the router: unwinding loses the
                 // whole chunk/batch.
                 HotPathSpec {

@@ -1,7 +1,8 @@
 //! The lane-vectorization hot-path sweep: forced scalar vs forced laned
-//! batch throughput for every SoA-capable engine at 64/128/256/2048
-//! bits, plus end-to-end streamed throughput on a 4-tile cluster now
-//! running the laned kernels (`results/hotpath_sweep.json`).
+//! batch throughput for the three SoA-capable engines (barrett,
+//! r4csa-lut, carryfree) at 64/128/256/2048 bits, plus end-to-end
+//! streamed throughput on a 4-tile cluster running the laned kernels
+//! (`results/hotpath_sweep.json`).
 //!
 //! ```sh
 //! cargo run --release --bin hotpath

@@ -280,14 +280,16 @@ pub struct HotpathSweepRow {
 }
 
 /// The engines with a structure-of-arrays laned batch path, in sweep
-/// order.
-pub const HOTPATH_ENGINES: [&str; 4] = ["montgomery", "barrett", "r4csa-lut", "carryfree"];
+/// order. `montgomery` is not one: its batch runs the shared CIOS
+/// kernel ([`modsram_bigint::mont_mul_limbs`]) pair by pair.
+pub const HOTPATH_ENGINES: [&str; 3] = ["barrett", "r4csa-lut", "carryfree"];
 
-/// Runs the scalar-vs-laned sweep at each bitwidth over `pairs` operand
-/// pairs with multiplicand reuse runs of 8 (so the R4CSA run detection
-/// sees the same locality the coalescing batcher produces). Each mode is
-/// timed best-of-`reps`; both modes are asserted identical to the
-/// big-integer oracle every pass.
+/// Runs the scalar-vs-laned sweep for each of the [`HOTPATH_ENGINES`]
+/// (the three laned kernels of `modmul::lanes`) at each bitwidth over
+/// `pairs` operand pairs with multiplicand reuse runs of 8 (so the R4CSA
+/// run detection sees the same locality the coalescing batcher
+/// produces). Each mode is timed best-of-`reps`; both modes are asserted
+/// identical to the big-integer oracle every pass.
 ///
 /// # Panics
 ///
@@ -351,7 +353,8 @@ pub fn hotpath_sweep(
 }
 
 /// One end-to-end point of the hot-path sweep: streamed throughput of a
-/// multi-tile cluster whose tiles now execute the laned batch kernels.
+/// multi-tile cluster whose tiles execute one of the three laned batch
+/// kernels (barrett, r4csa-lut or carryfree).
 #[derive(Debug, Clone, PartialEq)]
 pub struct HotpathStreamRow {
     /// Engine name from the registry.
@@ -3104,8 +3107,9 @@ mod tests {
         // legacy per-call path for the reduce-after-multiply family.
         // Wall-clock on a shared CI runner is noisy, so take the best
         // of three sweeps per engine and keep the margin generous — the
-        // real effect (fewer REDC passes, no per-call cache clone) is
-        // ~2.7x for Montgomery and ~1.3x for Barrett in release mode.
+        // real effect (two CIOS passes instead of four, one scratch
+        // buffer per batch) is ~5-7x for Montgomery and ~1.6x for
+        // Barrett in release mode.
         let mut best = [("montgomery", 0.0f64), ("barrett", 0.0f64)];
         for attempt in 0..3u64 {
             let rows = batch_throughput(256, 96, 11 + attempt);

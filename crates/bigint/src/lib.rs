@@ -9,6 +9,9 @@
 //! * [`U256`] / [`U512`] — fixed-width values for hot paths (elliptic-curve
 //!   field arithmetic), including a Montgomery multiplication context
 //!   ([`MontCtx256`]).
+//! * [`mont_mul_limbs`] — the CIOS Montgomery product on limb slices of
+//!   any width, shared by [`MontCtx256`] and the arbitrary-width
+//!   Montgomery engine.
 //! * [`booth`] — radix-4 and radix-8 Booth signed-digit recoding
 //!   (Table 1a of the paper), the front-end of the R4CSA-LUT algorithm.
 //!
@@ -36,7 +39,7 @@ mod ubig;
 pub use booth::{radix4_digits_msb_first, radix8_digits_msb_first, Radix4Digit, Radix8Digit};
 pub use fmt::ParseUBigError;
 pub use modular::{gcd, mod_add, mod_inv, mod_mul, mod_neg, mod_pow, mod_sqrt, mod_sub};
-pub use mont256::{MontCtx256, MontError};
+pub use mont256::{mont_mul_limbs, neg_inv64, MontCtx256, MontError};
 pub use random::{ubig_below, ubig_with_bits};
 pub use u256::{U256Overflow, U256, U512};
 pub use ubig::UBig;

@@ -1,13 +1,118 @@
-//! Montgomery multiplication context for 256-bit odd moduli.
+//! Montgomery multiplication: the workspace's one CIOS kernel and the
+//! 256-bit context built on it.
 //!
 //! This is the *software baseline* the paper contrasts with its direct-form
 //! algorithm (§3: Montgomery reduction avoids carry-propagating division but
 //! pays conversion costs), and the throughput engine behind the ECC/MSM/NTT
 //! workloads of Figure 7.
+//!
+//! [`mont_mul_limbs`] is the only Montgomery product in the workspace:
+//! [`MontCtx256`] calls it on `[u64; 4]` arrays (so the width is a
+//! compile-time constant after inlining), and the arbitrary-width
+//! `montgomery` engine of `modsram-modmul` calls it on heap limb buffers.
 
+use core::cmp::Ordering;
 use core::fmt;
 
 use crate::{UBig, U256};
+
+/// `−p₀⁻¹ mod 2⁶⁴` for odd `p₀`: the Montgomery constant `n0` of
+/// [`mont_mul_limbs`] (Dusse–Kaliski, inverted by Newton iteration).
+///
+/// # Examples
+///
+/// ```
+/// use modsram_bigint::neg_inv64;
+///
+/// let p0 = 0xffff_fffe_ffff_fc2f_u64; // secp256k1's low limb
+/// assert_eq!(p0.wrapping_mul(neg_inv64(p0)), u64::MAX); // p₀·n0 ≡ −1
+/// ```
+pub fn neg_inv64(p0: u64) -> u64 {
+    debug_assert!(p0 & 1 == 1, "Montgomery needs an odd modulus");
+    let mut inv = p0; // p₀·p₀ ≡ 1 mod 8: correct to 3 bits
+    for _ in 0..5 {
+        // Each step doubles the number of correct low bits: 3 → 96.
+        inv = inv.wrapping_mul(2u64.wrapping_sub(p0.wrapping_mul(inv)));
+    }
+    inv.wrapping_neg()
+}
+
+/// CIOS Montgomery product on little-endian limb slices:
+/// `out = a·b·2^(−64w) mod p`, where the width `w` is `p.len()`.
+///
+/// Preconditions: `p` is odd, `n0 = neg_inv64(p[0])`, `a < p` and
+/// `b < 2^(64w)` (or the other way round), `a`, `b` and `out` hold `w`
+/// limbs, and `scratch` holds at least `w + 2`. The output is below `p`.
+///
+/// # Panics
+///
+/// Panics if a slice is shorter than the width requires.
+///
+/// # Examples
+///
+/// ```
+/// use modsram_bigint::{mont_mul_limbs, neg_inv64};
+///
+/// // One limb, p = 2⁶⁴ − 59: REDC(x·R²) = x·R mod p, then REDC(xR·y) = x·y mod p.
+/// let p = [u64::MAX - 58];
+/// let r2 = [3481]; // (2⁶⁴)² ≡ 59² (mod p)
+/// let (n0, mut t) = (neg_inv64(p[0]), [0u64; 3]);
+/// let (mut xr, mut xy) = ([0u64], [0u64]);
+/// mont_mul_limbs(&mut xr, &[6], &r2, &p, n0, &mut t);
+/// mont_mul_limbs(&mut xy, &xr, &[7], &p, n0, &mut t);
+/// assert_eq!(xy, [42]);
+/// ```
+#[inline]
+pub fn mont_mul_limbs(
+    out: &mut [u64],
+    a: &[u64],
+    b: &[u64],
+    p: &[u64],
+    n0: u64,
+    scratch: &mut [u64],
+) {
+    let w = p.len();
+    let (b, out) = (&b[..w], &mut out[..w]);
+    let t = &mut scratch[..w + 2];
+    t.fill(0);
+    for &ai in &a[..w] {
+        // t += ai · b
+        let mut carry = 0u64;
+        for (tj, &bj) in t.iter_mut().zip(b) {
+            let s = *tj as u128 + ai as u128 * bj as u128 + carry as u128;
+            *tj = s as u64;
+            carry = (s >> 64) as u64;
+        }
+        let s = t[w] as u128 + carry as u128;
+        t[w] = s as u64;
+        t[w + 1] = (s >> 64) as u64;
+
+        // m = t[0] · n0 mod 2⁶⁴; t = (t + m·p) / 2⁶⁴ (t[0] + m·p[0] ≡ 0)
+        let m = t[0].wrapping_mul(n0) as u128;
+        let mut carry = ((t[0] as u128 + m * p[0] as u128) >> 64) as u64;
+        for j in 1..w {
+            let s = t[j] as u128 + m * p[j] as u128 + carry as u128;
+            t[j - 1] = s as u64;
+            carry = (s >> 64) as u64;
+        }
+        let s = t[w] as u128 + carry as u128;
+        t[w - 1] = s as u64;
+        t[w] = t[w + 1] + (s >> 64) as u64;
+    }
+    // t < 2p: one conditional subtraction, the borrow absorbed by t[w].
+    let (r, overflow) = t.split_at(w);
+    if overflow[0] != 0 || r.iter().rev().cmp(p.iter().rev()) != Ordering::Less {
+        let mut borrow = false;
+        for ((o, &ri), &pi) in out.iter_mut().zip(r).zip(p) {
+            let (d1, b1) = ri.overflowing_sub(pi);
+            let (d2, b2) = d1.overflowing_sub(borrow as u64);
+            *o = d2;
+            borrow = b1 | b2;
+        }
+    } else {
+        out.copy_from_slice(r);
+    }
+}
 
 /// Precomputed constants for CIOS Montgomery multiplication modulo an odd
 /// 256-bit prime-like modulus `p`.
@@ -72,18 +177,15 @@ impl MontCtx256 {
             return Err(MontError::TooSmall);
         }
         let pw = U256::try_from(p).map_err(|_| MontError::TooLarge)?;
-        // Dusse–Kaliski: invert p mod 2^64 by Newton iteration, then negate.
-        let p0 = pw.0[0];
-        let mut inv = p0; // correct to 3 bits
-        for _ in 0..5 {
-            inv = inv.wrapping_mul(2u64.wrapping_sub(p0.wrapping_mul(inv)));
-        }
-        debug_assert_eq!(p0.wrapping_mul(inv), 1);
-        let n0 = inv.wrapping_neg();
-
-        let r1 = U256::try_from(&(&UBig::pow2(256) % p)).expect("reduced below p");
-        let r2 = U256::try_from(&(&UBig::pow2(512) % p)).expect("reduced below p");
-        Ok(MontCtx256 { p: pw, n0, r1, r2 })
+        // Both residues are below p < 2²⁵⁶, so the conversions cannot fail.
+        let r1 = U256::try_from(&(&UBig::pow2(256) % p)).map_err(|_| MontError::TooLarge)?;
+        let r2 = U256::try_from(&(&UBig::pow2(512) % p)).map_err(|_| MontError::TooLarge)?;
+        Ok(MontCtx256 {
+            p: pw,
+            n0: neg_inv64(pw.0[0]),
+            r1,
+            r2,
+        })
     }
 
     /// The modulus.
@@ -106,46 +208,14 @@ impl MontCtx256 {
         self.mont_mul(a, &U256::ONE)
     }
 
-    /// CIOS Montgomery product `a·b·2⁻²⁵⁶ mod p`.
+    /// CIOS Montgomery product `a·b·2⁻²⁵⁶ mod p` ([`mont_mul_limbs`] at
+    /// width 4).
     ///
     /// Inputs must be below `p`; the output is below `p`.
-    #[allow(clippy::needless_range_loop)] // indexed loops mirror the CIOS carry chain
     pub fn mont_mul(&self, a: &U256, b: &U256) -> U256 {
-        let mut t = [0u64; 6];
-        for i in 0..4 {
-            // t += a[i] * b
-            let ai = a.0[i] as u128;
-            let mut carry = 0u128;
-            for j in 0..4 {
-                let s = t[j] as u128 + ai * b.0[j] as u128 + carry;
-                t[j] = s as u64;
-                carry = s >> 64;
-            }
-            let s = t[4] as u128 + carry;
-            t[4] = s as u64;
-            t[5] = (s >> 64) as u64;
-
-            // m = t[0] · n0 mod 2^64; t = (t + m·p) / 2^64
-            let m = t[0].wrapping_mul(self.n0) as u128;
-            let s = t[0] as u128 + m * self.p.0[0] as u128;
-            let mut carry = s >> 64;
-            for j in 1..4 {
-                let s = t[j] as u128 + m * self.p.0[j] as u128 + carry;
-                t[j - 1] = s as u64;
-                carry = s >> 64;
-            }
-            let s = t[4] as u128 + carry;
-            t[3] = s as u64;
-            let s2 = t[5] as u128 + (s >> 64);
-            t[4] = s2 as u64;
-            t[5] = 0;
-        }
-        let r = U256([t[0], t[1], t[2], t[3]]);
-        if t[4] != 0 || r >= self.p {
-            r.wrapping_sub(&self.p)
-        } else {
-            r
-        }
+        let mut out = U256::ZERO;
+        mont_mul_limbs(&mut out.0, &a.0, &b.0, &self.p.0, self.n0, &mut [0u64; 6]);
+        out
     }
 
     /// Montgomery squaring (delegates to [`Self::mont_mul`]).

@@ -5,8 +5,8 @@
 //! preservation, and Montgomery/naive agreement.
 
 use modsram_bigint::{
-    mod_inv, mod_mul, mod_pow, radix4_digits_msb_first, radix8_digits_msb_first, MontCtx256, UBig,
-    U256,
+    mod_inv, mod_mul, mod_pow, mont_mul_limbs, neg_inv64, radix4_digits_msb_first,
+    radix8_digits_msb_first, MontCtx256, UBig, U256,
 };
 use proptest::prelude::*;
 
@@ -16,6 +16,35 @@ fn ubig_strategy(max_limbs: usize) -> impl Strategy<Value = UBig> {
 
 fn nonzero_ubig(max_limbs: usize) -> impl Strategy<Value = UBig> {
     ubig_strategy(max_limbs).prop_map(|v| if v.is_zero() { UBig::one() } else { v })
+}
+
+/// An odd modulus of 1–32 limbs whose top limb keeps only its low
+/// `top_bits` bits (1..=64), so partial top limbs such as 65-bit and
+/// 2047-bit moduli are drawn as often as full ones.
+fn odd_modulus() -> impl Strategy<Value = UBig> {
+    (prop::collection::vec(any::<u64>(), 1..=32), 1u32..=64).prop_map(|(mut limbs, top_bits)| {
+        let top = limbs.len() - 1;
+        limbs[top] = (limbs[top] >> (64 - top_bits)) | (1 << (top_bits - 1));
+        limbs[0] |= 1;
+        UBig::from_limbs(limbs)
+    })
+}
+
+/// `a·b mod p` through [`mont_mul_limbs`] at `p`'s limb width: enter
+/// Montgomery form with `REDC(a·R²)`, then `REDC(aR·b) = a·b mod p`.
+fn slice_mont_mul(a: &UBig, b: &UBig, p: &UBig) -> UBig {
+    let w = p.limbs().len();
+    let padded = |v: &UBig| {
+        let mut limbs = v.limbs().to_vec();
+        limbs.resize(w, 0);
+        limbs
+    };
+    let r2 = padded(&(&UBig::pow2(128 * w) % p));
+    let n0 = neg_inv64(p.limbs()[0]);
+    let (mut ar, mut ab, mut t) = (vec![0; w], vec![0; w], vec![0; w + 2]);
+    mont_mul_limbs(&mut ar, &padded(a), &r2, p.limbs(), n0, &mut t);
+    mont_mul_limbs(&mut ab, &ar, &padded(b), p.limbs(), n0, &mut t);
+    UBig::from_limbs(ab)
 }
 
 proptest! {
@@ -152,6 +181,16 @@ proptest! {
     }
 
     #[test]
+    fn mont_mul_limbs_matches_mod_mul(
+        p in odd_modulus(),
+        a in ubig_strategy(32),
+        b in ubig_strategy(32),
+    ) {
+        let (a, b) = (&a % &p, &b % &p);
+        prop_assert_eq!(slice_mont_mul(&a, &b, &p), mod_mul(&a, &b, &p), "p={:?}", p);
+    }
+
+    #[test]
     fn mod_inv_is_inverse(a in nonzero_ubig(3)) {
         // Work modulo a prime so every non-zero residue is invertible.
         let p = UBig::from(0xffff_fffb_u64); // 4294967291, largest 32-bit prime
@@ -160,5 +199,40 @@ proptest! {
             let inv = mod_inv(&a, &p).unwrap();
             prop_assert_eq!(mod_mul(&a, &inv, &p), UBig::one());
         }
+    }
+}
+
+#[test]
+fn mont_mul_limbs_single_limb_edge() {
+    // p = 2⁶⁴ − 59, the largest 64-bit prime: every intermediate sits at
+    // the top of the limb, including p − 1 squared.
+    let p = UBig::from(u64::MAX - 58);
+    for (a, b) in [
+        (0, 0),
+        (1, 1),
+        (u64::MAX - 59, u64::MAX - 59),
+        (2, u64::MAX - 60),
+    ] {
+        let (a, b) = (UBig::from(a), UBig::from(b));
+        assert_eq!(slice_mont_mul(&a, &b, &p), mod_mul(&a, &b, &p));
+    }
+}
+
+#[test]
+fn mont_ctx256_is_the_slice_routine() {
+    let p =
+        UBig::from_hex("fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f").unwrap();
+    // (p − 1)² drives every carry limb, the overflow limb included.
+    let top = &p - &UBig::one();
+    assert_eq!(slice_mont_mul(&top, &top, &p), mod_mul(&top, &top, &p));
+    let ctx = MontCtx256::new(&p).unwrap();
+    let n0 = neg_inv64(p.limbs()[0]);
+    let mut x = U256::try_from(&top).unwrap();
+    for _ in 0..64 {
+        let y = ctx.add_mod(&ctx.mont_square(&x), &U256::from_u64(7));
+        let mut got = U256::ZERO;
+        mont_mul_limbs(&mut got.0, &x.0, &y.0, &ctx.modulus().0, n0, &mut [0; 6]);
+        assert_eq!(ctx.mont_mul(&x, &y), got);
+        x = y;
     }
 }

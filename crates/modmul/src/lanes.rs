@@ -1,8 +1,8 @@
 //! Structure-of-arrays batch lanes: the vectorized hot path under
 //! `mod_mul_batch`.
 //!
-//! The scalar batch paths amortise *per-modulus* work (Montgomery
-//! constants, Barrett `µ`, Table 2 rows) and *per-multiplicand* work
+//! The scalar batch paths amortise *per-modulus* work (Barrett `µ`,
+//! Table 2 rows) and *per-multiplicand* work
 //! (Table 1b refills), but every multiplication still walks the limb
 //! loop alone, paying allocation and carry-chain latency per call. The
 //! AnalogAI `SRAMMultiply` exemplar splits operand bits across `m`
@@ -16,10 +16,8 @@
 //! big-integer loop serialises, and all scratch is allocated once per
 //! batch instead of once per multiplication.
 //!
-//! Four kernels share the layout:
+//! Three kernels share the layout:
 //!
-//! * [`MontLanes`] — word-serial CIOS Montgomery (fused product +
-//!   reduction per multiplier limb) across lanes.
 //! * [`BarrettLanes`] — full product, two reciprocal multiplications,
 //!   and the conditional subtractions, across lanes.
 //! * [`R4CsaLanes`] — the Algorithm 3 digit loop across lanes for one
@@ -28,6 +26,10 @@
 //! * [`CarryFreeLanes`] — the carry-free radix-2 loop of
 //!   [`crate::carryfree`] across lanes (no shared-multiplicand
 //!   requirement: the injected addend is the lane's own `B`).
+//!
+//! Montgomery has no laned kernel: its per-pair CIOS
+//! ([`modsram_bigint::mont_mul_limbs`]) already beats a laned CIOS at
+//! every width, so `montgomery` batches run that one kernel pair by pair.
 //!
 //! Correctness is pinned by the `laned ≡ scalar ≡ oracle` proptests in
 //! `tests/proptests.rs`; throughput is measured by the
@@ -74,14 +76,6 @@ fn extract_lane(src: &[u64], lanes: usize, lane: usize, width: usize) -> UBig {
     UBig::from_limbs((0..width).map(|i| src[i * lanes + lane]).collect())
 }
 
-/// Broadcasts a shared operand into every lane.
-fn broadcast(dst: &mut [u64], lanes: usize, width: usize, limbs: &[u64]) {
-    for i in 0..width {
-        let v = limbs.get(i).copied().unwrap_or(0);
-        dst[i * lanes..(i + 1) * lanes].fill(v);
-    }
-}
-
 /// `v`'s limbs padded to exactly `width` entries.
 fn fixed_limbs(v: &UBig, width: usize) -> Vec<u64> {
     let mut out = vec![0u64; width];
@@ -89,17 +83,6 @@ fn fixed_limbs(v: &UBig, width: usize) -> Vec<u64> {
         *dst = *src;
     }
     out
-}
-
-/// `-p₀⁻¹ mod 2^64` for odd `p₀` via Newton–Hensel iteration.
-fn neg_inv64(p0: u64) -> u64 {
-    debug_assert!(p0 & 1 == 1, "Montgomery needs an odd modulus");
-    let mut x: u64 = 1; // correct mod 2
-    for _ in 0..6 {
-        // Each step doubles the number of correct low bits.
-        x = x.wrapping_mul(2u64.wrapping_sub(p0.wrapping_mul(x)));
-    }
-    x.wrapping_neg()
 }
 
 /// `lane ≥ p` over `w` SoA limbs against a plain (shared) `p` slice.
@@ -220,158 +203,6 @@ fn sub_soa(out: &mut [u64], x: &[u64], y: &[u64], w: usize, lanes: usize) {
             out[base + l] = d2;
             borrow[l] = (b1 | b2) as u64;
         }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Montgomery lanes
-// ---------------------------------------------------------------------
-
-/// Lane-vectorized CIOS Montgomery kernel for one odd modulus.
-///
-/// Each multiplication runs the fused `REDC(a·R²) → REDC(aR·b)`
-/// sequence of [`crate::PreparedMontgomery`], but on flat fixed-width
-/// limbs with per-multiplier-limb interleaved reduction (CIOS), and
-/// with up to [`MAX_LANES`] multiplications advancing per limb pass.
-#[derive(Debug, Clone)]
-pub struct MontLanes {
-    p_big: UBig,
-    p: Vec<u64>,
-    r2: Vec<u64>,
-    p0_inv_neg: u64,
-    w: usize,
-}
-
-impl MontLanes {
-    /// Builds the kernel.
-    ///
-    /// # Errors
-    ///
-    /// [`ModMulError::ZeroModulus`] / [`ModMulError::EvenModulus`] as
-    /// for any Montgomery preparation.
-    pub fn new(p: &UBig) -> Result<Self, ModMulError> {
-        if p.is_zero() {
-            return Err(ModMulError::ZeroModulus);
-        }
-        if p.is_even() {
-            return Err(ModMulError::EvenModulus);
-        }
-        let w = p.bit_len().div_ceil(64).max(1);
-        let r2 = &UBig::pow2(2 * 64 * w) % p;
-        Ok(MontLanes {
-            p_big: p.clone(),
-            p: fixed_limbs(p, w),
-            r2: fixed_limbs(&r2, w),
-            p0_inv_neg: neg_inv64(p.limbs()[0]),
-            w,
-        })
-    }
-
-    /// One CIOS pass over every lane: `out = x·y·R⁻¹ mod p` (bounded by
-    /// `p` after the final conditional subtraction). `t` is caller
-    /// scratch of `(w+2)·lanes` limbs.
-    fn cios(&self, x: &[u64], y: &[u64], out: &mut [u64], lanes: usize, t: &mut [u64]) {
-        let w = self.w;
-        t[..(w + 2) * lanes].fill(0);
-        let mut carry = [0u64; MAX_LANES];
-        let mut m = [0u64; MAX_LANES];
-        for j in 0..w {
-            let ybase = j * lanes;
-            // t += x · y[j]
-            carry[..lanes].fill(0);
-            for i in 0..w {
-                let base = i * lanes;
-                for l in 0..lanes {
-                    let prod = x[base + l] as u128 * y[ybase + l] as u128
-                        + t[base + l] as u128
-                        + carry[l] as u128;
-                    t[base + l] = prod as u64;
-                    carry[l] = (prod >> 64) as u64;
-                }
-            }
-            for l in 0..lanes {
-                let (s, c) = t[w * lanes + l].overflowing_add(carry[l]);
-                t[w * lanes + l] = s;
-                t[(w + 1) * lanes + l] += c as u64;
-            }
-            // m = t[0] · (−p⁻¹) mod 2^64; t += m · p (zeroes t[0])
-            for l in 0..lanes {
-                m[l] = t[l].wrapping_mul(self.p0_inv_neg);
-                carry[l] = 0;
-            }
-            for (i, &pi) in self.p.iter().enumerate() {
-                let base = i * lanes;
-                for l in 0..lanes {
-                    let prod = m[l] as u128 * pi as u128 + t[base + l] as u128 + carry[l] as u128;
-                    t[base + l] = prod as u64;
-                    carry[l] = (prod >> 64) as u64;
-                }
-            }
-            for l in 0..lanes {
-                let (s, c) = t[w * lanes + l].overflowing_add(carry[l]);
-                t[w * lanes + l] = s;
-                t[(w + 1) * lanes + l] += c as u64;
-            }
-            // t /= 2^64 (t[0] is zero by construction of m)
-            for i in 0..=w {
-                let (dst, src) = (i * lanes, (i + 1) * lanes);
-                for l in 0..lanes {
-                    t[dst + l] = t[src + l];
-                }
-            }
-            t[(w + 1) * lanes..(w + 2) * lanes].fill(0);
-        }
-        // Result < 2p ≤ R + p: one conditional subtraction per lane.
-        for l in 0..lanes {
-            if t[w * lanes + l] != 0 || lane_ge(t, lanes, l, w, &self.p) {
-                // Include the overflow limb in the borrow chain.
-                let mut borrow = 0u64;
-                for i in 0..w {
-                    let idx = i * lanes + l;
-                    let (d1, b1) = t[idx].overflowing_sub(self.p[i]);
-                    let (d2, b2) = d1.overflowing_sub(borrow);
-                    t[idx] = d2;
-                    borrow = (b1 | b2) as u64;
-                }
-                t[w * lanes + l] = t[w * lanes + l].wrapping_sub(borrow);
-            }
-            for i in 0..w {
-                out[i * lanes + l] = t[i * lanes + l];
-            }
-        }
-    }
-
-    /// Computes `aᵢ·bᵢ mod p` for every pair via the laned kernel.
-    pub fn mod_mul_batch(&self, pairs: &[(UBig, UBig)], lanes: usize) -> Vec<UBig> {
-        let lanes = lanes.clamp(1, MAX_LANES);
-        if self.p_big.is_one() {
-            return vec![UBig::zero(); pairs.len()];
-        }
-        let w = self.w;
-        let mut out = Vec::with_capacity(pairs.len());
-        let mut xa = vec![0u64; w * lanes];
-        let mut xb = vec![0u64; w * lanes];
-        let mut r2s = vec![0u64; w * lanes];
-        let mut ar = vec![0u64; w * lanes];
-        let mut res = vec![0u64; w * lanes];
-        let mut t = vec![0u64; (w + 2) * lanes];
-        broadcast(&mut r2s, lanes, w, &self.r2);
-        for group in pairs.chunks(lanes) {
-            for (l, (a, b)) in group.iter().enumerate() {
-                load_lane(&mut xa, lanes, l, w, &canonical(a, &self.p_big));
-                load_lane(&mut xb, lanes, l, w, &canonical(b, &self.p_big));
-            }
-            for l in group.len()..lanes {
-                zero_lane(&mut xa, lanes, l, w);
-                zero_lane(&mut xb, lanes, l, w);
-            }
-            self.cios(&xa, &r2s, &mut ar, lanes, &mut t); // aR = REDC(a·R²)
-            self.cios(&ar, &xb, &mut res, lanes, &mut t); // ab = REDC(aR·b)
-            for l in 0..group.len() {
-                out.push(extract_lane(&res, lanes, l, w));
-            }
-        }
-        out
     }
 }
 
@@ -811,30 +642,6 @@ mod tests {
     }
 
     #[test]
-    fn mont_lanes_match_oracle_across_lane_counts() {
-        let p = UBig::from_hex("fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f")
-            .unwrap();
-        let kernel = MontLanes::new(&p).unwrap();
-        let pairs = some_pairs(13, 0xA11CE);
-        let want = oracle(&pairs, &p);
-        for lanes in [1, 2, 3, 8, 16] {
-            assert_eq!(kernel.mod_mul_batch(&pairs, lanes), want, "lanes={lanes}");
-        }
-    }
-
-    #[test]
-    fn mont_lanes_reject_bad_moduli() {
-        assert_eq!(
-            MontLanes::new(&UBig::zero()).err(),
-            Some(ModMulError::ZeroModulus)
-        );
-        assert_eq!(
-            MontLanes::new(&UBig::from(10u64)).err(),
-            Some(ModMulError::EvenModulus)
-        );
-    }
-
-    #[test]
     fn barrett_lanes_match_oracle_even_and_odd() {
         for p in [
             UBig::from(97u64),
@@ -884,8 +691,6 @@ mod tests {
     #[test]
     fn modulus_one_short_circuits() {
         let pairs = some_pairs(3, 7);
-        let mont = MontLanes::new(&UBig::one()).unwrap();
-        assert_eq!(mont.mod_mul_batch(&pairs, 4), vec![UBig::zero(); 3]);
         let bar = BarrettLanes::new(&UBig::one()).unwrap();
         assert_eq!(bar.mod_mul_batch(&pairs, 4), vec![UBig::zero(); 3]);
     }

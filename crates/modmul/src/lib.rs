@@ -72,7 +72,7 @@ pub use engine::{
 };
 pub use interleaved::InterleavedEngine;
 pub use lanes::{
-    BarrettLanes, CarryFreeLanes, MontLanes, R4CsaLanes, DEFAULT_LANES, LANE_MIN_PAIRS, MAX_LANES,
+    BarrettLanes, CarryFreeLanes, R4CsaLanes, DEFAULT_LANES, LANE_MIN_PAIRS, MAX_LANES,
 };
 pub use lut::{LutOverflow, LutRadix4};
 pub use montgomery::{MontgomeryEngine, PreparedMontgomery};

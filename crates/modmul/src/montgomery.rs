@@ -7,31 +7,33 @@
 //! the domain conversions spelled out so those costs can be measured
 //! rather than asserted; see the `conversions` counter.
 //!
-//! The prepared context ([`PreparedMontgomery`]) is the
-//! performance-oriented path: `R²` and `−p⁻¹` are computed once in
-//! [`crate::ModMulEngine::prepare`], and each multiplication fuses the
-//! domain round-trip into two REDC passes (`REDC(a·R²) = aR`, then
+//! Both paths run the workspace's one Montgomery kernel,
+//! [`modsram_bigint::mont_mul_limbs`] (word-serial CIOS), on padded limb
+//! buffers. The prepared context ([`PreparedMontgomery`]) is the
+//! performance-oriented path: `R²` and `−p⁻¹ mod 2⁶⁴` are computed once
+//! in [`crate::ModMulEngine::prepare`], and each multiplication fuses the
+//! domain round-trip into two CIOS passes (`REDC(a·R²) = aR`, then
 //! `REDC(aR·b) = a·b mod p`), which is algebraically identical to the
-//! enter/multiply/leave sequence the instrumented engine performs.
+//! enter/multiply/leave sequence the instrumented engine performs. A
+//! batch allocates its limb scratch once.
 
-use modsram_bigint::{mod_inv, UBig};
+use modsram_bigint::{mont_mul_limbs, neg_inv64, UBig};
 
-use crate::lanes::{MontLanes, DEFAULT_LANES, LANE_MIN_PAIRS};
-use crate::prepared::{canonical, check_modulus};
+use crate::prepared::check_modulus;
 use crate::{CycleModel, ModMulEngine, ModMulError, PreparedModMul};
 
-/// Thread-safe per-modulus Montgomery context (`R²`, `−p⁻¹ mod R`).
+/// Thread-safe per-modulus Montgomery context (`R²`, `−p⁻¹ mod 2⁶⁴`),
+/// with `R = 2^(64w)` for the limb width `w` of `p`.
 #[derive(Debug, Clone)]
 pub struct PreparedMontgomery {
     p: UBig,
-    /// Number of bits in `R = 2^r` (a multiple of 64, ≥ bit_len(p)).
-    r_bits: usize,
-    /// `-p⁻¹ mod R`.
-    p_inv_neg: UBig,
-    /// `R² mod p`, to enter Montgomery form with one REDC.
-    r2: UBig,
-    /// The structure-of-arrays CIOS kernel behind the laned batch path.
-    lanes: MontLanes,
+    /// `p`'s limbs; their count is the CIOS width `w`.
+    p_limbs: Vec<u64>,
+    /// `R² mod p`, padded to `w` limbs, to enter Montgomery form with one
+    /// CIOS pass.
+    r2: Vec<u64>,
+    /// `−p⁻¹ mod 2⁶⁴`.
+    n0: u64,
 }
 
 impl PreparedMontgomery {
@@ -47,46 +49,53 @@ impl PreparedMontgomery {
         if p.is_even() {
             return Err(ModMulError::EvenModulus);
         }
-        let r_bits = p.bit_len().div_ceil(64) * 64;
-        let r = UBig::pow2(r_bits);
-        // Odd p is always invertible mod 2^k, so a None here can only
-        // mean mod_inv itself regressed — surface it as the same error
-        // an even modulus earns rather than unwinding the caller.
-        let p_inv = mod_inv(p, &r).ok_or(ModMulError::EvenModulus)?;
-        let p_inv_neg = &r - &p_inv;
-        let r2 = &(&r * &r) % p;
+        let p_limbs = p.limbs().to_vec();
+        let mut r2 = (&UBig::pow2(128 * p_limbs.len()) % p).limbs().to_vec();
+        r2.resize(p_limbs.len(), 0);
         Ok(PreparedMontgomery {
             p: p.clone(),
-            r_bits,
-            p_inv_neg,
+            n0: neg_inv64(p_limbs[0]), // p ≠ 0 has a low limb
+            p_limbs,
             r2,
-            lanes: MontLanes::new(p)?,
         })
     }
 
-    /// REDC: given `t < p·R`, returns `t·R⁻¹ mod p`.
-    pub(crate) fn redc(&self, t: &UBig) -> UBig {
-        // m = (t mod R) · (-p⁻¹) mod R
-        let m = (&t.low_bits(self.r_bits) * &self.p_inv_neg).low_bits(self.r_bits);
-        // u = (t + m·p) / R
-        let u = &(t + &(&m * &self.p)) >> self.r_bits;
-        if u >= self.p {
-            &u - &self.p
+    /// One CIOS pass: `out = x·y·R⁻¹ mod p` (`t` is `w + 2` limbs).
+    fn redc_mul(&self, out: &mut [u64], x: &[u64], y: &[u64], t: &mut [u64]) {
+        mont_mul_limbs(out, x, y, &self.p_limbs, self.n0, t);
+    }
+
+    /// Writes `v mod p` into `dst`, zero-padded to the width.
+    fn load(&self, dst: &mut [u64], v: &UBig) {
+        let reduced;
+        let v = if *v < self.p {
+            v
         } else {
-            u
+            reduced = v % &self.p;
+            &reduced
+        };
+        dst.fill(0);
+        for (d, &s) in dst.iter_mut().zip(v.limbs()) {
+            *d = s;
         }
     }
 
-    /// `R² mod p` — entry into Montgomery form costs one REDC of `x·r2`.
-    pub(crate) fn r2(&self) -> &UBig {
-        &self.r2
+    /// Scratch for [`Self::fused`]: `4w + 2` limbs.
+    fn scratch(&self) -> Vec<u64> {
+        vec![0; 4 * self.p_limbs.len() + 2]
     }
 
-    /// One fused multiplication on canonical operands: 2 REDC passes.
-    fn mul_canonical(&self, a: &UBig, b: &UBig) -> UBig {
-        // aR = REDC(a · R²); REDC(aR · b) = a·b mod p.
-        let am = self.redc(&(a * &self.r2));
-        self.redc(&(&am * b))
+    /// One fused multiplication: two CIOS passes over `buf`.
+    fn fused(&self, a: &UBig, b: &UBig, buf: &mut [u64]) -> UBig {
+        let w = self.p_limbs.len();
+        let (x, rest) = buf.split_at_mut(w);
+        let (y, rest) = rest.split_at_mut(w);
+        let (ar, t) = rest.split_at_mut(w);
+        self.load(x, a);
+        self.load(y, b);
+        self.redc_mul(ar, x, &self.r2, t); // aR = REDC(a·R²)
+        self.redc_mul(x, ar, y, t); // REDC(aR·b) = a·b mod p
+        UBig::from_limbs(x.to_vec())
     }
 }
 
@@ -100,41 +109,17 @@ impl PreparedModMul for PreparedMontgomery {
     }
 
     fn mod_mul(&self, a: &UBig, b: &UBig) -> Result<UBig, ModMulError> {
-        if self.p.is_one() {
-            return Ok(UBig::zero());
-        }
-        Ok(self.mul_canonical(&canonical(a, &self.p), &canonical(b, &self.p)))
+        Ok(self.fused(a, b, &mut self.scratch()))
     }
 
-    /// Batch override: long batches take the lane-vectorized CIOS kernel
-    /// ([`crate::lanes::MontLanes`]), short ones the scalar fused path
-    /// (the transpose doesn't amortise).
+    /// Batch override: the per-pair fused path with one scratch
+    /// allocation for the whole batch.
     fn mod_mul_batch(&self, pairs: &[(UBig, UBig)]) -> Result<Vec<UBig>, ModMulError> {
-        if pairs.len() >= LANE_MIN_PAIRS {
-            self.mod_mul_batch_laned(pairs, DEFAULT_LANES)
-        } else {
-            self.mod_mul_batch_scalar(pairs)
-        }
-    }
-
-    /// The pre-lanes batch path: the `p = 1` check hoisted, each pair on
-    /// the same fused two-REDC sequence as [`PreparedModMul::mod_mul`].
-    fn mod_mul_batch_scalar(&self, pairs: &[(UBig, UBig)]) -> Result<Vec<UBig>, ModMulError> {
-        if self.p.is_one() {
-            return Ok(vec![UBig::zero(); pairs.len()]);
-        }
+        let mut buf = self.scratch();
         Ok(pairs
             .iter()
-            .map(|(a, b)| self.mul_canonical(&canonical(a, &self.p), &canonical(b, &self.p)))
+            .map(|(a, b)| self.fused(a, b, &mut buf))
             .collect())
-    }
-
-    fn mod_mul_batch_laned(
-        &self,
-        pairs: &[(UBig, UBig)],
-        lanes: usize,
-    ) -> Result<Vec<UBig>, ModMulError> {
-        Ok(self.lanes.mod_mul_batch(pairs, lanes))
     }
 }
 
@@ -180,26 +165,24 @@ impl ModMulEngine for MontgomeryEngine {
     /// Returns [`ModMulError::EvenModulus`] for even `p` (REDC requires
     /// `gcd(p, R) = 1`) and [`ModMulError::ZeroModulus`] for `p = 0`.
     fn mod_mul(&mut self, a: &UBig, b: &UBig, p: &UBig) -> Result<UBig, ModMulError> {
-        if p.is_zero() {
-            return Err(ModMulError::ZeroModulus);
-        }
-        if p.is_one() {
-            return Ok(UBig::zero());
-        }
-        let a = a % p;
-        let b = b % p;
-        let cache = self.cache_for(p)?.clone();
+        let ctx = self.cache_for(p)?;
+        let w = ctx.p_limbs.len();
+        let [mut x, mut y, mut one, mut xm, mut ym, mut prod, mut out] =
+            [(); 7].map(|_| vec![0u64; w]);
+        let mut t = vec![0u64; w + 2];
+        ctx.load(&mut x, a);
+        ctx.load(&mut y, b);
+        one[0] = 1;
 
         // Enter Montgomery form (one REDC each), multiply, REDC, leave —
         // spelled out so the conversion overhead is observable.
-        let am = cache.redc(&(&a * cache.r2()));
-        let bm = cache.redc(&(&b * cache.r2()));
-        self.conversions += 2;
-        let prod = cache.redc(&(&am * &bm));
-        self.reductions += 3;
-        let out = cache.redc(&prod);
-        self.conversions += 1;
-        self.reductions += 1;
+        ctx.redc_mul(&mut xm, &x, &ctx.r2, &mut t);
+        ctx.redc_mul(&mut ym, &y, &ctx.r2, &mut t);
+        ctx.redc_mul(&mut prod, &xm, &ym, &mut t);
+        ctx.redc_mul(&mut out, &prod, &one, &mut t);
+        let out = UBig::from_limbs(out);
+        self.conversions += 3;
+        self.reductions += 4;
         Ok(out)
     }
 }

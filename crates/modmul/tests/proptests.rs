@@ -46,6 +46,11 @@ proptest! {
     }
 
     #[test]
+    fn engines_agree_32_limbs((a, b, p) in triple(32)) {
+        engines_agree(&a, &b, &p);
+    }
+
+    #[test]
     fn r4csa_invariant_random((a, b, p) in triple(3)) {
         let n = p.bit_len().max(1);
         let mut stepper = R4CsaStepper::new(&b, &p).unwrap();

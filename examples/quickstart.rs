@@ -302,7 +302,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(c, &(&a * &b) % &p, "must match big-integer arithmetic");
 
     // Montgomery amortisation, the reason the API is split: the R²/−p⁻¹
-    // constants are computed once, so the context multiplies in two REDC
+    // constants are computed once, so the context multiplies in two CIOS
     // passes instead of the four the per-call engine spells out.
     let mont = MontgomeryEngine::new().prepare(&p)?;
     assert_eq!(mont.mod_mul(&a, &b)?, c);
@@ -319,20 +319,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(cf_even.mod_mul(&a, &b)?, &(&a * &b) % &even);
     println!("carryfree context agrees (odd and even moduli): ok");
 
-    // When does laning win? mod_mul_batch transposes batches of
-    // LANE_MIN_PAIRS (4) or more pairs into structure-of-arrays lanes,
-    // advancing eight multiplications per limb pass; shorter batches
-    // run scalar because the transpose doesn't amortise. The win is
-    // several-fold on the bit/digit-serial engines (r4csa-lut,
-    // carryfree) and >= 1.3x on montgomery/barrett at 256 bits —
-    // `cargo run --release --bin hotpath` sweeps it on your host.
+    // When does laning win? mod_mul_batch on r4csa-lut, carryfree and
+    // barrett transposes batches of LANE_MIN_PAIRS (4) or more pairs
+    // into structure-of-arrays lanes, advancing eight multiplications
+    // per limb pass; shorter batches run scalar because the transpose
+    // doesn't amortise. The win is several-fold on the bit/digit-serial
+    // engines and smaller on barrett. montgomery has no laned path: its
+    // batch runs the one CIOS kernel pair by pair, which is faster than
+    // laning it — `cargo run --release --bin hotpath` sweeps it on your
+    // host.
     let pairs: Vec<(UBig, UBig)> = (1..=16u64)
         .map(|i| (UBig::from(i * 7919), b.clone()))
         .collect();
-    let batch = mont.mod_mul_batch(&pairs)?; // 16 pairs: the laned path
+    let batch = cf.mod_mul_batch(&pairs)?; // 16 pairs: the laned path
     for ((x, y), got) in pairs.iter().zip(&batch) {
         assert_eq!(got, &(&(x * y) % &p));
     }
+    assert_eq!(mont.mod_mul_batch(&pairs)?, batch);
     println!("laned batch of {} agrees: ok", pairs.len());
 
     // ---- The accelerator as a prepared context ---------------------------

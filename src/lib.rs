@@ -229,7 +229,7 @@
 //! | `radix4` | Algorithm 2 Booth radix-4 + Table 1b | any | — |
 //! | `radix8` | radix-8 variant of Algorithm 2 | any | — |
 //! | `r4csa-lut` | Algorithm 3: radix-4 + carry-save + LUTs | any | ✓ |
-//! | `montgomery` | REDC in Montgomery domain | odd | ✓ |
+//! | `montgomery` | REDC in Montgomery domain (one CIOS kernel, shared with `MontCtx256`) | odd | — |
 //! | `barrett` | precomputed-reciprocal reduction | any | ✓ |
 //! | `carryfree` | carry-save accumulation + bit-inspection reduction; carries propagate only at the final normalize | any | ✓ |
 //! | *auto* | self-tuning: races the parity-legal engines per modulus and pins the measured winner ([`TunePolicy`]) | any | per winner |
@@ -241,9 +241,11 @@
 //! runs scalar automatically), and the win is largest when per-pair
 //! bookkeeping dominates limb arithmetic: expect several-fold on the
 //! bit/digit-serial engines (`r4csa-lut`, `carryfree`) and a more
-//! modest but still ≥ 1.3× gain on `montgomery`/`barrett` at 256 bits,
-//! shrinking as operands grow past ~2048 bits where big-integer limb
-//! work dominates either way. `cargo run --release --bin hotpath`
+//! modest gain on `barrett` at 256 bits, shrinking as operands grow
+//! past ~2048 bits where big-integer limb work dominates either way.
+//! `montgomery` has no laned path: its batch runs the one CIOS kernel
+//! ([`bigint::mont_mul_limbs`]) pair by pair, which is faster than a
+//! laned CIOS at every width. `cargo run --release --bin hotpath`
 //! regenerates `results/hotpath_sweep.json` with the numbers for your
 //! host.
 //!
