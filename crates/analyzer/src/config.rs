@@ -129,6 +129,17 @@ impl Config {
                     path: "crates/bigint/src/mont256.rs",
                     ban_indexing: false,
                 },
+                // The cycle-accurate device's controller and near-memory
+                // circuit: every device multiply runs them on a
+                // dispatcher worker. Limb words, so indexing stays legal.
+                HotPathSpec {
+                    path: "crates/core/src/controller.rs",
+                    ban_indexing: false,
+                },
+                HotPathSpec {
+                    path: "crates/core/src/nmc.rs",
+                    ban_indexing: false,
+                },
                 // Dispatch workers and the router: unwinding loses the
                 // whole chunk/batch.
                 HotPathSpec {

@@ -21,23 +21,225 @@
 //! §4.3), so the rows are always pre-shifted when the next activation
 //! reads them; the last iteration writes back unshifted so the finisher
 //! sees the true `(sum, carry)`.
+//!
+//! # One datapath, checked in lock step
+//!
+//! [`execute`] and the micro-op `isa::Executor` drive the same
+//! limb-level datapath: `ModSram::activate_csa` senses into a reused
+//! `SenseOut` and latches XOR3/MAJ plus the top-bit logic into the NMC
+//! flip-flops; `ModSram::writeback_sum`/`writeback_carry` shift a
+//! latched word into a reused staging word for the write port; and
+//! `ModSram::escape_bits` and [`finish`] read the FFs. The buffers live
+//! in the device ([`Datapath`]), so a run allocates nothing per cycle.
+//!
+//! With `verify` on, the run is checked against the laned carry-save
+//! core at one lane (`modsram_modmul::CsaLockstep`), advanced one LUT
+//! phase at a time. Its rows come from the software LUTs, never from
+//! the array, so injected faults cannot mask themselves. Every
+//! iteration compares the Booth digit, both overflow FFs, the XOR3 and
+//! MAJ words and carry-out of both phases, and the overflow index; the
+//! reduced result is compared last. The first mismatch is returned as
+//! [`CoreError::ModelDivergence`].
 
 use modsram_bigint::UBig;
-use modsram_modmul::{R4CsaStepper, TimingPolicy};
+use modsram_modmul::{LutRadix4, TimingPolicy};
+use modsram_sram::{SenseOut, SramStats};
 
 use crate::error::CoreError;
 use crate::memmap::MemoryMap;
 use crate::modsram::ModSram;
+use crate::nmc::{bit, set_bit, shl_window, two_bits};
 use crate::stats::RunStats;
 use crate::trace::{DataflowSnapshot, Phase};
+
+/// The datapath's limb buffers, held by [`ModSram`] and reused across
+/// cycles and runs.
+#[derive(Debug, Clone)]
+pub(crate) struct Datapath {
+    /// Logic-SA outputs of the latest activation.
+    sense: SenseOut,
+    /// `MAJ ≪ 1` inside the `W`-bit window: the carry word of the
+    /// latest activation.
+    carry: Vec<u64>,
+    /// Write-port staging word (`W` bits; the row takes the low `n`).
+    stage: Vec<u64>,
+}
+
+impl Datapath {
+    /// Buffers for register window `width` (= n + 1).
+    pub(crate) fn new(width: usize) -> Self {
+        let words = width.div_ceil(64);
+        Datapath {
+            sense: SenseOut::default(),
+            carry: vec![0; words],
+            stage: vec![0; words],
+        }
+    }
+}
+
+impl ModSram {
+    /// One logic-SA activation over `lut_row` plus whichever of sum/carry
+    /// are live. Latches XOR3/MAJ into the NMC FFs, with bit `n` from the
+    /// top-bit logic: LUT rows are `< p < 2^n`, so only the stored MSB
+    /// FFs reach it. Returns the carry-out of weight `2^W` (bit `n` of
+    /// MAJ).
+    pub(crate) fn activate_csa(&mut self, lut_row: usize, sum_live: bool, carry_live: bool) -> u8 {
+        let mut rows = [lut_row; 3];
+        let mut live = 1;
+        for (on, row) in [(sum_live, MemoryMap::SUM), (carry_live, MemoryMap::CARRY)] {
+            if on {
+                rows[live] = row;
+                live += 1;
+            }
+        }
+        self.array.activate_into(&rows[..live], &mut self.dp.sense);
+        let s_msb = sum_live && self.sum_msb;
+        let c_msb = carry_live && self.carry_msb;
+        self.nmc.latch_sense(
+            &self.dp.sense.xor,
+            &self.dp.sense.maj,
+            s_msb ^ c_msb,
+            s_msb & c_msb,
+        );
+        let n = self.config.n_bits;
+        shl_window(&mut self.dp.carry, &self.nmc.carry_ff, 1, n + 1);
+        bit(&self.nmc.carry_ff, n) as u8
+    }
+
+    /// Writes the latched XOR3 word, pre-shifted left by `shift` (0, or
+    /// 2 for the fused ×4), to the sum row and its MSB FF.
+    pub(crate) fn writeback_sum(&mut self, shift: u32) {
+        shl_window(
+            &mut self.dp.stage,
+            &self.nmc.sum_ff,
+            shift,
+            self.config.n_bits + 1,
+        );
+        self.sum_msb = self.store_stage(MemoryMap::SUM);
+    }
+
+    /// Writes the latched carry word (`MAJ ≪ 1`), pre-shifted left by
+    /// `shift`, to the carry row and its MSB FF.
+    pub(crate) fn writeback_carry(&mut self, shift: u32) {
+        shl_window(
+            &mut self.dp.stage,
+            &self.dp.carry,
+            shift,
+            self.config.n_bits + 1,
+        );
+        self.carry_msb = self.store_stage(MemoryMap::CARRY);
+    }
+
+    /// Writes the staged `W`-bit word's low `n` bits through the write
+    /// port and returns bit `n` for the row's MSB FF (one FF load).
+    fn store_stage(&mut self, row: usize) -> bool {
+        let n = self.config.n_bits;
+        let msb = bit(&self.dp.stage, n);
+        set_bit(&mut self.dp.stage, n, false);
+        self.array.write_row(row, &self.dp.stage[..n.div_ceil(64)]);
+        self.nmc.register_writes += 1;
+        msb
+    }
+
+    /// The two bits of the latched XOR3 and carry words that a
+    /// write-back pre-shift of `shift` pushes out of the window (both 0
+    /// unless `shift` is 2): the next iteration's `ov_sum`/`ov_carry`.
+    pub(crate) fn escape_bits(&self, shift: u32) -> (u8, u8) {
+        if shift != 2 {
+            return (0, 0);
+        }
+        let top = self.config.n_bits - 1; // bits W−2 and W−1
+        (
+            two_bits(&self.nmc.sum_ff, top),
+            two_bits(&self.dp.carry, top),
+        )
+    }
+}
+
+/// The near-memory finisher (Alg. 3 line 14): `sum + carry (+ pending ·
+/// 2^W)` reduced into `[0, p)`, with the conditional-subtraction count.
+/// A carry row not written this run is structurally zero.
+pub(crate) fn finish(dev: &ModSram, carry_written: bool, p: &UBig) -> (UBig, u64) {
+    let mut total = dev.peek_sum();
+    if carry_written {
+        total = &total + &dev.peek_carry();
+    }
+    if dev.nmc.pending_ff != 0 {
+        total = &total + &UBig::pow2(dev.config.n_bits + 1);
+    }
+    // The conditional-subtract chain of the near-memory finisher; when
+    // the array width matches the modulus this is at most 12 steps, but
+    // a wide array with a narrow modulus would need many, so compute the
+    // count by division.
+    let subs = (&total / p).to_u64().unwrap_or(u64::MAX);
+    (&total % p, subs)
+}
+
+/// Counters at the start of a run, for the run's [`RunStats`] deltas.
+pub(crate) struct RunStart {
+    sram: SramStats,
+    register_writes: u64,
+}
+
+impl RunStart {
+    /// Snapshots `dev`'s array and register-write counters.
+    pub(crate) fn of(dev: &ModSram) -> Self {
+        RunStart {
+            sram: dev.array.stats().clone(),
+            register_writes: dev.nmc.register_writes,
+        }
+    }
+
+    /// Fills `stats`' counter deltas and the fields derived from the
+    /// policy and finisher (`iterations` and `final_subtractions` must
+    /// already be set).
+    pub(crate) fn close(&self, dev: &ModSram, stats: &mut RunStats) {
+        let now = dev.array.stats();
+        stats.row_reads = now.row_reads - self.sram.row_reads;
+        stats.row_writes = now.row_writes - self.sram.row_writes;
+        stats.energy_pj = now.energy_pj - self.sram.energy_pj;
+        stats.register_writes = dev.nmc.register_writes - self.register_writes;
+        let n = dev.config.n_bits as u64;
+        stats.extra_msb_digit =
+            dev.config.policy == TimingPolicy::DataDependent && stats.iterations > n.div_ceil(2);
+        stats.final_add_cycles = if dev.config.charge_final_add {
+            stats.final_subtractions.saturating_add(2)
+        } else {
+            0
+        };
+    }
+}
+
+/// `Ok` when the device agrees with the oracle, else the divergence.
+fn check(agrees: bool, iteration: u64, what: &'static str) -> Result<(), CoreError> {
+    if agrees {
+        Ok(())
+    } else {
+        Err(CoreError::ModelDivergence { iteration, what })
+    }
+}
+
+/// Compares the latched XOR3 word and the carry word with the oracle's
+/// accumulator after the same phase.
+fn check_words(
+    dev: &ModSram,
+    iteration: u64,
+    xor3: &'static str,
+    maj: &'static str,
+) -> Result<(), CoreError> {
+    check(dev.nmc.sum_ff == dev.oracle.sum(), iteration, xor3)?;
+    check(dev.dp.carry == dev.oracle.carry(), iteration, maj)
+}
 
 /// Executes one in-SRAM modular multiplication of `a` by the loaded
 /// multiplicand, modulo the loaded modulus.
 pub(crate) fn execute(dev: &mut ModSram, a: &UBig) -> Result<(UBig, RunStats), CoreError> {
     let p = dev.modulus.clone().ok_or(CoreError::NoModulus)?;
-    let b = dev.multiplicand.clone().ok_or(CoreError::NoMultiplicand)?;
+    if dev.multiplicand.is_none() {
+        return Err(CoreError::NoMultiplicand);
+    }
     let n = dev.config.n_bits;
-    let w = n + 1;
+    let verify = dev.config.verify;
     let a_c = a % &p;
 
     // FF reset lines clear the overflow state left by a previous run.
@@ -50,19 +252,14 @@ pub(crate) fn execute(dev: &mut ModSram, a: &UBig) -> Result<(UBig, RunStats), C
 
     // The digit stream (including constant-time padding) comes from the
     // shared TimingPolicy rule so the controller can never drift from
-    // the stepper it verifies itself against.
+    // the oracle it verifies itself against.
     let digits = dev.config.policy.digits(&a_c, n);
     let k = digits.len();
+    if verify {
+        dev.oracle.reset();
+    }
 
-    // Lock-step ground truth (only consulted when verification is on).
-    let mut stepper = if dev.config.verify {
-        Some(R4CsaStepper::with_width(&b, &p, n)?)
-    } else {
-        None
-    };
-
-    let start_sram = dev.array.stats().clone();
-    let start_regs = dev.nmc.register_writes;
+    let start = RunStart::of(dev);
     let mut stats = RunStats::default();
     let mut cycle: u64 = 0;
 
@@ -70,7 +267,7 @@ pub(crate) fn execute(dev: &mut ModSram, a: &UBig) -> Result<(UBig, RunStats), C
     dev.array.write_row(MemoryMap::A, a_c.limbs());
 
     // Cycle 1: fetch the multiplier into the near-memory FF.
-    let fetched = UBig::from_limbs(dev.array.read_row(MemoryMap::A));
+    let fetched = dev.array.read_row(MemoryMap::A);
     dev.nmc.load_multiplier(&fetched, k);
     cycle += 1;
     snapshot(
@@ -79,39 +276,24 @@ pub(crate) fn execute(dev: &mut ModSram, a: &UBig) -> Result<(UBig, RunStats), C
         0,
         Phase::Fetch,
         "read A row into multiplier FF",
-        vec![MemoryMap::A],
+        &[MemoryMap::A],
     );
 
     let mut carry_written = false;
     let mut sum_written = false;
 
-    for i in 1..=k as u64 {
+    for (i, &want_digit) in (1u64..).zip(&digits) {
         let digit = dev.nmc.next_digit();
-        if dev.config.verify && digit != digits[(i - 1) as usize] {
-            return Err(CoreError::ModelDivergence {
-                iteration: i,
-                what: "booth digit",
-            });
-        }
-        let trace = stepper.as_mut().map(|s| s.step(digit));
+        check(!verify || digit == want_digit, i, "booth digit")?;
 
         // ---- Radix-4 phase -------------------------------------------
-        if let Some(t) = &trace {
-            if dev.nmc.ov_sum_ff != t.ov_sum {
-                return Err(CoreError::ModelDivergence {
-                    iteration: i,
-                    what: "ov_sum FF",
-                });
-            }
-            if dev.nmc.ov_carry_ff != t.ov_carry {
-                return Err(CoreError::ModelDivergence {
-                    iteration: i,
-                    what: "ov_carry FF",
-                });
-            }
+        let oracle = verify.then(|| dev.oracle.radix4_phase(digit));
+        if let Some((ov_sum, ov_carry, _)) = oracle {
+            check(dev.nmc.ov_sum_ff == ov_sum, i, "ov_sum FF")?;
+            check(dev.nmc.ov_carry_ff == ov_carry, i, "ov_carry FF")?;
         }
-        let lut_row = dev.map.lut4_row(modsram_modmul::LutRadix4::index_of(digit));
-        let (xor_full, maj_full) = activate_csa(dev, lut_row, sum_written, carry_written);
+        let lut_row = dev.map.lut4_row(LutRadix4::index_of(digit));
+        let csa1_msb_out = dev.activate_csa(lut_row, sum_written, carry_written);
         cycle += 1;
         stats.activations += 1;
         snapshot(
@@ -120,33 +302,14 @@ pub(crate) fn execute(dev: &mut ModSram, a: &UBig) -> Result<(UBig, RunStats), C
             i,
             Phase::Radix4,
             "activate LUT-radix4 + sum + carry; sense XOR3/MAJ",
-            vec![lut_row],
+            &[lut_row],
         );
-
-        let csa1_msb_out = ((&maj_full << 1).bit(w)) as u8;
-        let carry_value = (&maj_full << 1).low_bits(w);
-        if let Some(t) = &trace {
-            if xor_full != t.after_radix4.0 {
-                return Err(CoreError::ModelDivergence {
-                    iteration: i,
-                    what: "radix-4 XOR3",
-                });
-            }
-            if carry_value != t.after_radix4.1 {
-                return Err(CoreError::ModelDivergence {
-                    iteration: i,
-                    what: "radix-4 MAJ",
-                });
-            }
-            if csa1_msb_out != t.csa1_msb_out {
-                return Err(CoreError::ModelDivergence {
-                    iteration: i,
-                    what: "radix-4 carry-out",
-                });
-            }
+        if let Some((_, _, want_msb)) = oracle {
+            check_words(dev, i, "radix-4 XOR3", "radix-4 MAJ")?;
+            check(csa1_msb_out == want_msb, i, "radix-4 carry-out")?;
         }
 
-        dev.store_sum(&xor_full);
+        dev.writeback_sum(0);
         sum_written = true;
         cycle += 1;
         stats.row_writes += 1;
@@ -156,11 +319,11 @@ pub(crate) fn execute(dev: &mut ModSram, a: &UBig) -> Result<(UBig, RunStats), C
             i,
             Phase::Radix4,
             "write back sum",
-            vec![MemoryMap::SUM],
+            &[MemoryMap::SUM],
         );
 
         if i > 1 {
-            dev.store_carry(&carry_value);
+            dev.writeback_carry(0);
             carry_written = true;
             cycle += 1;
             stats.row_writes += 1;
@@ -170,19 +333,15 @@ pub(crate) fn execute(dev: &mut ModSram, a: &UBig) -> Result<(UBig, RunStats), C
                 i,
                 Phase::Radix4,
                 "write back carry (≪1)",
-                vec![MemoryMap::CARRY],
+                &[MemoryMap::CARRY],
             );
         }
 
         // ---- Overflow phase ------------------------------------------
         let ov_index = dev.nmc.take_overflow_index(csa1_msb_out);
-        if let Some(t) = &trace {
-            if ov_index != t.ov_index {
-                return Err(CoreError::ModelDivergence {
-                    iteration: i,
-                    what: "overflow index",
-                });
-            }
+        let oracle = verify.then(|| dev.oracle.overflow_phase());
+        if let Some((want_index, _)) = oracle {
+            check(ov_index == want_index, i, "overflow index")?;
         }
         stats.max_ov_index = stats.max_ov_index.max(ov_index);
         if MemoryMap::is_spill_weight(ov_index) {
@@ -190,7 +349,7 @@ pub(crate) fn execute(dev: &mut ModSram, a: &UBig) -> Result<(UBig, RunStats), C
         }
 
         let ov_row = dev.map.lutov_row(ov_index);
-        let (xor2_full, maj2_full) = activate_csa(dev, ov_row, sum_written, carry_written);
+        let pending_out = dev.activate_csa(ov_row, sum_written, carry_written);
         cycle += 1;
         stats.activations += 1;
         snapshot(
@@ -199,42 +358,19 @@ pub(crate) fn execute(dev: &mut ModSram, a: &UBig) -> Result<(UBig, RunStats), C
             i,
             Phase::Overflow,
             "activate LUT-overflow + sum + carry; sense XOR3/MAJ",
-            vec![ov_row],
+            &[ov_row],
         );
-
-        let pending_out = ((&maj2_full << 1).bit(w)) as u8;
-        let carry2_value = (&maj2_full << 1).low_bits(w);
-        if let Some(t) = &trace {
-            if xor2_full != t.after_overflow.0 {
-                return Err(CoreError::ModelDivergence {
-                    iteration: i,
-                    what: "overflow XOR3",
-                });
-            }
-            if carry2_value != t.after_overflow.1 {
-                return Err(CoreError::ModelDivergence {
-                    iteration: i,
-                    what: "overflow MAJ",
-                });
-            }
-            if pending_out != t.pending_out {
-                return Err(CoreError::ModelDivergence {
-                    iteration: i,
-                    what: "overflow carry-out",
-                });
-            }
+        if let Some((_, want_pending)) = oracle {
+            check_words(dev, i, "overflow XOR3", "overflow MAJ")?;
+            check(pending_out == want_pending, i, "overflow carry-out")?;
         }
 
         // Fused shift: pre-shift by two for the next iteration; the last
         // iteration leaves the true values for the finisher.
         let shift = if (i as usize) < k { 2 } else { 0 };
+        let (esc_s, esc_c) = dev.escape_bits(shift);
 
-        let esc_s = if shift == 2 {
-            ((&xor2_full >> (w - 2)).low_u64() & 3) as u8
-        } else {
-            0
-        };
-        dev.store_sum(&(&xor2_full << shift).low_bits(w));
+        dev.writeback_sum(shift);
         cycle += 1;
         stats.row_writes += 1;
         dev.nmc.set_ov_sum(esc_s);
@@ -244,16 +380,11 @@ pub(crate) fn execute(dev: &mut ModSram, a: &UBig) -> Result<(UBig, RunStats), C
             i,
             Phase::Overflow,
             "write back sum (≪2 pre-shift)",
-            vec![MemoryMap::SUM],
+            &[MemoryMap::SUM],
         );
 
-        let esc_c = if shift == 2 {
-            ((&carry2_value >> (w - 2)).low_u64() & 3) as u8
-        } else {
-            0
-        };
         if i > 1 {
-            dev.store_carry(&(&carry2_value << shift).low_bits(w));
+            dev.writeback_carry(shift);
             carry_written = true;
             cycle += 1;
             stats.row_writes += 1;
@@ -263,56 +394,28 @@ pub(crate) fn execute(dev: &mut ModSram, a: &UBig) -> Result<(UBig, RunStats), C
                 i,
                 Phase::Overflow,
                 "write back carry (≪1, ≪2 pre-shift)",
-                vec![MemoryMap::CARRY],
+                &[MemoryMap::CARRY],
             );
         } else {
-            debug_assert!(carry2_value.is_zero(), "iteration-1 carry must be zero");
+            debug_assert!(
+                dev.dp.carry.iter().all(|&w| w == 0),
+                "iteration-1 carry must be zero"
+            );
         }
         dev.nmc.set_ov_carry(esc_c);
         dev.nmc.set_pending(pending_out);
     }
 
     // ---- Near-memory finisher (Alg. 3 line 14) -----------------------
-    let sum_full = dev.peek_sum();
-    let carry_full = if carry_written {
-        dev.peek_carry()
-    } else {
-        UBig::zero()
-    };
-    let mut total = &sum_full + &carry_full;
-    if dev.nmc.pending_ff != 0 {
-        total = &total + &UBig::pow2(w);
-    }
-    // The conditional-subtract chain of the near-memory finisher; when
-    // the array width matches the modulus this is at most 12 steps, but
-    // a wide array with a narrow modulus would need many, so compute the
-    // count by division.
-    let subs = (&total / &p).to_u64().unwrap_or(u64::MAX);
-    total = &total % &p;
-
-    if let Some(s) = &stepper {
-        let (want, _) = s.finalize();
-        if total != want {
-            return Err(CoreError::ModelDivergence {
-                iteration: k as u64,
-                what: "final result",
-            });
-        }
+    let (total, subs) = finish(dev, carry_written, &p);
+    if verify {
+        check(total == dev.oracle.finalize(&p), k as u64, "final result")?;
     }
 
     stats.cycles = cycle;
     stats.iterations = k as u64;
     stats.final_subtractions = subs;
-    stats.final_add_cycles = if dev.config.charge_final_add {
-        2 + subs
-    } else {
-        0
-    };
-    stats.extra_msb_digit = dev.config.policy == TimingPolicy::DataDependent && k > n.div_ceil(2);
-    stats.row_reads = dev.array.stats().row_reads - start_sram.row_reads;
-    stats.row_writes = dev.array.stats().row_writes - start_sram.row_writes;
-    stats.energy_pj = dev.array.stats().energy_pj - start_sram.energy_pj;
-    stats.register_writes = dev.nmc.register_writes - start_regs;
+    start.close(dev, &mut stats);
     debug_assert_eq!(stats.cycles, 6 * k as u64 - 1, "schedule invariant");
 
     snapshot(
@@ -321,41 +424,10 @@ pub(crate) fn execute(dev: &mut ModSram, a: &UBig) -> Result<(UBig, RunStats), C
         k as u64,
         Phase::Finalize,
         "near-memory add + reduce",
-        vec![],
+        &[],
     );
     dev.last_run = Some(stats.clone());
     Ok((total, stats))
-}
-
-/// One logic-SA activation over the LUT row plus whichever of sum/carry
-/// are live, returning the full `W`-bit XOR3 and MAJ words (array columns
-/// + the NMC top-bit logic of §4.3).
-fn activate_csa(
-    dev: &mut ModSram,
-    lut_row: usize,
-    sum_live: bool,
-    carry_live: bool,
-) -> (UBig, UBig) {
-    let n = dev.config.n_bits;
-    let mut rows = vec![lut_row];
-    if sum_live {
-        rows.push(MemoryMap::SUM);
-    }
-    if carry_live {
-        rows.push(MemoryMap::CARRY);
-    }
-    let out = dev.array.activate(&rows);
-    let xor_cols = UBig::from_limbs(out.xor.clone());
-    let maj_cols = UBig::from_limbs(out.maj.clone());
-
-    // Top-bit (bit n) logic: LUT rows are < p < 2^n so their bit n is 0;
-    // the stored MSBs live in NMC flip-flops.
-    let s_msb = sum_live && dev.sum_msb;
-    let c_msb = carry_live && dev.carry_msb;
-    let xor_full = xor_cols.with_bit(n, s_msb ^ c_msb);
-    let maj_full = maj_cols.with_bit(n, s_msb & c_msb);
-    dev.nmc.latch_sense(xor_full.clone(), maj_full.clone());
-    (xor_full, maj_full)
 }
 
 fn snapshot(
@@ -364,7 +436,7 @@ fn snapshot(
     iteration: u64,
     phase: Phase,
     micro_op: &str,
-    rows: Vec<usize>,
+    rows: &[usize],
 ) {
     if !dev.config.trace {
         return;
@@ -374,7 +446,7 @@ fn snapshot(
         iteration,
         phase,
         micro_op: micro_op.to_string(),
-        rows,
+        rows: rows.to_vec(),
         sum: dev.peek_sum(),
         carry: dev.peek_carry(),
         ov_ffs: (dev.nmc.ov_sum_ff, dev.nmc.ov_carry_ff, dev.nmc.pending_ff),

@@ -23,9 +23,10 @@
 //! returns [`ProgramError`] instead of computing garbage.
 
 use modsram_bigint::UBig;
-use modsram_modmul::{LutRadix4, TimingPolicy};
+use modsram_modmul::LutRadix4;
 use std::fmt;
 
+use crate::controller::{finish, RunStart};
 use crate::error::CoreError;
 use crate::memmap::MemoryMap;
 use crate::modsram::ModSram;
@@ -321,7 +322,9 @@ impl fmt::Display for Program {
     }
 }
 
-/// Interprets [`Program`]s against a [`ModSram`] device.
+/// Interprets [`Program`]s against a [`ModSram`] device, on the same
+/// datapath (activation, top-bit logic, shifted write-backs, escape
+/// bits, finisher) as the FSM controller.
 ///
 /// # Examples
 ///
@@ -341,8 +344,6 @@ impl fmt::Display for Program {
 /// ```
 #[derive(Debug, Default)]
 pub struct Executor {
-    latched_xor: UBig,
-    latched_maj: UBig,
     csa1_msb: u8,
     pending_out: u8,
     last_program: Option<Program>,
@@ -372,15 +373,14 @@ impl Executor {
         dev: &mut ModSram,
         a: &UBig,
     ) -> Result<(UBig, RunStats), CoreError> {
-        let p = dev.modulus().cloned().ok_or(CoreError::NoModulus)?;
-        let n = dev.config().n_bits;
-        let a_c = a % &p;
-        let mut k = modsram_bigint::radix4_digits_msb_first(&a_c, n).len();
-        if dev.config().policy == TimingPolicy::ConstantTime {
-            k = k.max((n + 1).div_ceil(2));
-        }
+        let p = dev.modulus().ok_or(CoreError::NoModulus)?;
+        let k = dev
+            .config()
+            .policy
+            .digits(&(a % p), dev.config().n_bits)
+            .len();
         let program = Program::r4csa(k);
-        let result = self.run(dev, &program, &a_c);
+        let result = self.run(dev, &program, a);
         self.last_program = Some(program);
         result
     }
@@ -405,13 +405,10 @@ impl Executor {
             .multiplicand()
             .cloned()
             .ok_or(CoreError::NoMultiplicand)?;
-        let n = dev.config().n_bits;
-        let w = n + 1;
         let a_c = a % &p;
-        let mut k = modsram_bigint::radix4_digits_msb_first(&a_c, n).len();
-        if dev.config().policy == TimingPolicy::ConstantTime {
-            k = k.max((n + 1).div_ceil(2));
-        }
+        // The digit count (with constant-time padding) from the one
+        // TimingPolicy rule the FSM controller also uses.
+        let k = dev.config().policy.digits(&a_c, dev.config().n_bits).len();
 
         // Reset device + executor latches.
         dev.nmc.ov_sum_ff = 0;
@@ -419,18 +416,16 @@ impl Executor {
         dev.nmc.pending_ff = 0;
         dev.sum_msb = false;
         dev.carry_msb = false;
-        self.latched_xor = UBig::zero();
-        self.latched_maj = UBig::zero();
         self.csa1_msb = 0;
         self.pending_out = 0;
 
-        let start_sram = dev.array.stats().clone();
-        let start_regs = dev.nmc.register_writes;
+        let start = RunStart::of(dev);
         let mut stats = RunStats::default();
         let mut cycle: u64 = 0;
         let mut fetched = false;
         let mut loaded = false;
         let mut latched = false;
+        let mut carry_written = false;
         let mut digits_used = 0usize;
         let mut finished: Option<UBig> = None;
 
@@ -455,8 +450,8 @@ impl Executor {
                     if !loaded {
                         return Err(illegal(pc, op, "fetch before load.a"));
                     }
-                    let row = UBig::from_limbs(dev.array.read_row(MemoryMap::A));
-                    dev.nmc.load_multiplier(&row, k.max(1));
+                    let row = dev.array.read_row(MemoryMap::A);
+                    dev.nmc.load_multiplier(&row, k);
                     fetched = true;
                     cycle += 1;
                 }
@@ -470,10 +465,7 @@ impl Executor {
                     let digit = dev.nmc.next_digit();
                     digits_used += 1;
                     let row = dev.map.lut4_row(LutRadix4::index_of(digit));
-                    let (x, m) = self.activate(dev, row, sum, carry);
-                    self.csa1_msb = ((&m << 1).bit(w)) as u8;
-                    self.latched_xor = x;
-                    self.latched_maj = m;
+                    self.csa1_msb = dev.activate_csa(row, sum, carry);
                     latched = true;
                     cycle += 1;
                     stats.activations += 1;
@@ -488,10 +480,7 @@ impl Executor {
                         stats.ov_spill_touches += 1;
                     }
                     let row = dev.map.lutov_row(ov);
-                    let (x, m) = self.activate(dev, row, sum, carry);
-                    self.pending_out = ((&m << 1).bit(w)) as u8;
-                    self.latched_xor = x;
-                    self.latched_maj = m;
+                    self.pending_out = dev.activate_csa(row, sum, carry);
                     cycle += 1;
                     stats.activations += 1;
                 }
@@ -499,29 +488,22 @@ impl Executor {
                     if !latched {
                         return Err(illegal(pc, op, "write-back with nothing latched"));
                     }
-                    dev.store_sum(&(&self.latched_xor << shift as usize).low_bits(w));
+                    dev.writeback_sum(u32::from(shift));
                     cycle += 1;
                 }
                 MicroOp::WritebackCarry { shift } => {
                     if !latched {
                         return Err(illegal(pc, op, "write-back with nothing latched"));
                     }
-                    let v = (&self.latched_maj << 1).low_bits(w);
-                    dev.store_carry(&(&v << shift as usize).low_bits(w));
+                    dev.writeback_carry(u32::from(shift));
+                    carry_written = true;
                     cycle += 1;
                 }
                 MicroOp::LatchOverflowFfs { shift } => {
                     if !latched {
                         return Err(illegal(pc, op, "latch with nothing computed"));
                     }
-                    let (esc_s, esc_c) = if shift == 2 {
-                        let xs = ((&self.latched_xor >> (w - 2)).low_u64() & 3) as u8;
-                        let cv = (&self.latched_maj << 1).low_bits(w);
-                        let cs = ((&cv >> (w - 2)).low_u64() & 3) as u8;
-                        (xs, cs)
-                    } else {
-                        (0, 0)
-                    };
+                    let (esc_s, esc_c) = dev.escape_bits(u32::from(shift));
                     dev.nmc.set_ov_sum(esc_s);
                     dev.nmc.set_ov_carry(esc_c);
                     dev.nmc.set_pending(self.pending_out);
@@ -534,14 +516,9 @@ impl Executor {
                             "finish before all multiplier digits were processed",
                         ));
                     }
-                    let sum_full = dev.peek_sum();
-                    let carry_full = dev.peek_carry();
-                    let mut total = &sum_full + &carry_full;
-                    if dev.nmc.pending_ff != 0 {
-                        total = &total + &UBig::pow2(w);
-                    }
-                    stats.final_subtractions = (&total / &p).to_u64().unwrap_or(u64::MAX);
-                    finished = Some(&total % &p);
+                    let (total, subs) = finish(dev, carry_written, &p);
+                    stats.final_subtractions = subs;
+                    finished = Some(total);
                 }
             }
         }
@@ -560,34 +537,9 @@ impl Executor {
 
         stats.cycles = cycle;
         stats.iterations = digits_used as u64;
-        stats.row_reads = dev.array.stats().row_reads - start_sram.row_reads;
-        stats.row_writes = dev.array.stats().row_writes - start_sram.row_writes;
-        stats.energy_pj = dev.array.stats().energy_pj - start_sram.energy_pj;
-        stats.register_writes = dev.nmc.register_writes - start_regs;
+        start.close(dev, &mut stats);
         dev.last_run = Some(stats.clone());
         Ok((total, stats))
-    }
-
-    /// One logic-SA activation (LUT row + live sum/carry), returning
-    /// full `W`-bit XOR3/MAJ including the NMC top-bit logic.
-    fn activate(&mut self, dev: &mut ModSram, row: usize, sum: bool, carry: bool) -> (UBig, UBig) {
-        let n = dev.config().n_bits;
-        let mut rows = vec![row];
-        if sum {
-            rows.push(MemoryMap::SUM);
-        }
-        if carry {
-            rows.push(MemoryMap::CARRY);
-        }
-        let out = dev.array.activate(&rows);
-        let xor_cols = UBig::from_limbs(out.xor.clone());
-        let maj_cols = UBig::from_limbs(out.maj.clone());
-        let s_msb = sum && dev.sum_msb;
-        let c_msb = carry && dev.carry_msb;
-        let xor_full = xor_cols.with_bit(n, s_msb ^ c_msb);
-        let maj_full = maj_cols.with_bit(n, s_msb & c_msb);
-        dev.nmc.latch_sense(xor_full.clone(), maj_full.clone());
-        (xor_full, maj_full)
     }
 }
 

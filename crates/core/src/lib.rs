@@ -21,8 +21,9 @@
 //! * [`ModSram`] — the top-level device: owns the array, runs
 //!   precomputation (LUT fill, reused across calls while `B`/`p` are
 //!   unchanged — the paper's data-reuse claim), executes multiplications,
-//!   and optionally verifies every phase against the word-level
-//!   functional model from `modsram-modmul` in lock-step.
+//!   and optionally verifies every phase in lock step against the laned
+//!   carry-save core of `modsram-modmul` at one lane
+//!   (`modsram_modmul::CsaLockstep`).
 //! * [`cycles`] — the single home of the modelled-cycle constants and
 //!   formulas (`6k − 1` per multiplication, the 13-wordline refill
 //!   charge, per-engine latency models) shared by the service,

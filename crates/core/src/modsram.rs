@@ -4,11 +4,12 @@ use std::sync::Mutex;
 
 use modsram_bigint::UBig;
 use modsram_modmul::{
-    CycleModel, LutOverflow, LutRadix4, ModMulEngine, ModMulError, PreparedModMul, TimingPolicy,
+    CsaLockstep, CycleModel, LutOverflow, LutRadix4, ModMulEngine, ModMulError, PreparedModMul,
+    TimingPolicy,
 };
 use modsram_sram::{CellKind, FaultConfig, SramArray, SramConfig};
 
-use crate::controller;
+use crate::controller::{self, Datapath};
 use crate::error::CoreError;
 use crate::memmap::MemoryMap;
 use crate::nmc::Nmc;
@@ -67,13 +68,16 @@ pub struct ModSram {
     pub(crate) array: SramArray,
     pub(crate) map: MemoryMap,
     pub(crate) nmc: Nmc,
+    /// Limb buffers of the datapath, reused across cycles and runs.
+    pub(crate) dp: Datapath,
+    /// The lock-step oracle, fed from the software LUTs (consulted only
+    /// when `config.verify` is on).
+    pub(crate) oracle: CsaLockstep,
     pub(crate) config: ModSramConfig,
     pub(crate) sum_msb: bool,
     pub(crate) carry_msb: bool,
     pub(crate) modulus: Option<UBig>,
     pub(crate) multiplicand: Option<UBig>,
-    pub(crate) lut4: Option<LutRadix4>,
-    pub(crate) lutov: Option<LutOverflow>,
     /// Precompute statistics accumulated since construction.
     pub precompute_total: PrecomputeStats,
     /// Multiplication cycles accumulated since construction (the sum of
@@ -114,13 +118,13 @@ impl ModSram {
             array: SramArray::new(sram_config),
             map,
             nmc: Nmc::new(n + 1),
+            dp: Datapath::new(n + 1),
+            oracle: CsaLockstep::new(n + 1),
             config,
             sum_msb: false,
             carry_msb: false,
             modulus: None,
             multiplicand: None,
-            lut4: None,
-            lutov: None,
             precompute_total: PrecomputeStats::default(),
             run_cycles_total: 0,
             last_run: None,
@@ -198,8 +202,7 @@ impl ModSram {
         stats.nmc_adds += 2;
         for w in 0..LutOverflow::PAPER_ENTRIES {
             let row = self.map.lutov_row(w);
-            let value = lutov.value(w).clone();
-            self.write_row_counted(row, &value, &mut stats);
+            self.write_row_counted(row, lutov.value(w), &mut stats);
             if w > 0 {
                 stats.nmc_adds += 2;
             }
@@ -208,17 +211,15 @@ impl ModSram {
             LutOverflow::PAPER_ENTRIES..(LutOverflow::PAPER_ENTRIES + MemoryMap::LUTOV_SPILL_ROWS)
         {
             let row = self.map.lutov_row(w);
-            let value = lutov.value(w).clone();
-            self.write_row_counted(row, &value, &mut stats);
+            self.write_row_counted(row, lutov.value(w), &mut stats);
             stats.nmc_adds += 2;
         }
         stats.cycles = stats.row_writes + stats.nmc_adds;
 
         self.modulus = Some(p.clone());
-        self.lutov = Some(lutov);
+        self.oracle.load_overflow(&lutov);
         // A new modulus invalidates the multiplicand table.
         self.multiplicand = None;
-        self.lut4 = None;
         self.precompute_total.merge(&stats);
         Ok(stats)
     }
@@ -237,7 +238,7 @@ impl ModSram {
         let mut stats = PrecomputeStats::default();
 
         self.write_row_counted(MemoryMap::B, lut4.multiplicand(), &mut stats);
-        for (i, value) in lut4.rows().clone().iter().enumerate() {
+        for (i, value) in lut4.rows().iter().enumerate() {
             let row = self.map.lut4_row(i);
             self.write_row_counted(row, value, &mut stats);
         }
@@ -246,7 +247,7 @@ impl ModSram {
         stats.cycles = stats.row_writes + stats.nmc_adds;
 
         self.multiplicand = Some(lut4.multiplicand().clone());
-        self.lut4 = Some(lut4);
+        self.oracle.load_radix4(&lut4);
         self.precompute_total.merge(&stats);
         Ok(stats)
     }
@@ -278,8 +279,7 @@ impl ModSram {
     ///
     /// See [`ModSram::mod_mul_loaded`] and [`ModSram::load_multiplicand`].
     pub fn mod_mul(&mut self, a: &UBig, b: &UBig) -> Result<(UBig, RunStats), CoreError> {
-        let p = self.modulus.clone().ok_or(CoreError::NoModulus)?;
-        let b_canonical = b % &p;
+        let b_canonical = b % self.modulus.as_ref().ok_or(CoreError::NoModulus)?;
         if self.multiplicand.as_ref() != Some(&b_canonical) {
             self.load_multiplicand(&b_canonical)?;
         }
@@ -294,23 +294,6 @@ impl ModSram {
     ) {
         self.array.write_row(row, value.limbs());
         stats.row_writes += 1;
-    }
-
-    /// Stores a `W`-bit value into the sum row + MSB flip-flop.
-    pub(crate) fn store_sum(&mut self, v: &UBig) {
-        let n = self.config.n_bits;
-        self.array.write_row(MemoryMap::SUM, v.low_bits(n).limbs());
-        self.sum_msb = v.bit(n);
-        self.nmc.register_writes += 1; // the MSB FF load
-    }
-
-    /// Stores a `W`-bit value into the carry row + MSB flip-flop.
-    pub(crate) fn store_carry(&mut self, v: &UBig) {
-        let n = self.config.n_bits;
-        self.array
-            .write_row(MemoryMap::CARRY, v.low_bits(n).limbs());
-        self.carry_msb = v.bit(n);
-        self.nmc.register_writes += 1;
     }
 
     /// Reads the full `W`-bit sum (row + MSB FF) without touching stats.

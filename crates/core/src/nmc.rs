@@ -7,8 +7,55 @@
 //! the top three bits of the multiplier FF, and the combinational logic
 //! that assembles the overflow LUT index. Every flip-flop load increments
 //! `register_writes` — the Figure 7 metric ModSRAM minimises.
+//!
+//! The flip-flops are little-endian `u64` limb words updated in place,
+//! and the shifter is `shl_window`: the simulated datapath allocates
+//! nothing per cycle.
 
-use modsram_bigint::{Radix4Digit, UBig};
+use modsram_bigint::Radix4Digit;
+
+/// Bit `pos` of a limb word (`false` beyond its end).
+pub(crate) fn bit(words: &[u64], pos: usize) -> bool {
+    words
+        .get(pos / 64)
+        .is_some_and(|w| (w >> (pos % 64)) & 1 == 1)
+}
+
+/// Sets bit `pos` of a limb word to `v` (no-op beyond its end).
+pub(crate) fn set_bit(words: &mut [u64], pos: usize, v: bool) {
+    if let Some(w) = words.get_mut(pos / 64) {
+        let m = 1u64 << (pos % 64);
+        if v {
+            *w |= m;
+        } else {
+            *w &= !m;
+        }
+    }
+}
+
+/// The two bits at `pos` and `pos + 1` as a number in `0..4`.
+pub(crate) fn two_bits(words: &[u64], pos: usize) -> u8 {
+    bit(words, pos) as u8 | (bit(words, pos + 1) as u8) << 1
+}
+
+/// `dst ← (src ≪ bits) mod 2^window` for `bits < 64`, with `src`
+/// zero-extended (or truncated) to `dst.len()` words.
+pub(crate) fn shl_window(dst: &mut [u64], src: &[u64], bits: u32, window: usize) {
+    let mut carry = 0u64;
+    for (i, d) in dst.iter_mut().enumerate() {
+        let s = src.get(i).copied().unwrap_or(0);
+        *d = (s << bits) | carry;
+        carry = s.checked_shr(64 - bits).unwrap_or(0);
+    }
+    for (i, d) in dst.iter_mut().enumerate() {
+        let lo = i * 64;
+        if lo >= window {
+            *d = 0;
+        } else if window - lo < 64 {
+            *d &= (1u64 << (window - lo)) - 1;
+        }
+    }
+}
 
 /// Near-memory flip-flops and combinational helpers.
 #[derive(Debug, Clone)]
@@ -18,12 +65,16 @@ pub struct Nmc {
     /// Multiplier FF, alignment window of `2k + 1` bits; the Booth
     /// encoder reads its top three bits and it shifts left by two every
     /// iteration (§4.3).
-    mult_ff: UBig,
+    mult_ff: Vec<u64>,
+    /// Second buffer for the multiplier FF's shift (swapped per digit).
+    mult_next: Vec<u64>,
     mult_window: usize,
-    /// Sum FF (latched from the sense amplifiers + MSB logic).
-    pub sum_ff: UBig,
-    /// Carry FF.
-    pub carry_ff: UBig,
+    /// Sum FF: the `W`-bit XOR3 word latched from the sense amplifiers
+    /// plus the MSB logic, as `W.div_ceil(64)` limbs.
+    pub sum_ff: Vec<u64>,
+    /// Carry FF: the `W`-bit MAJ word (before its structural `≪1`), as
+    /// `W.div_ceil(64)` limbs.
+    pub carry_ff: Vec<u64>,
     /// Shift-overflow FFs: the two bits that fell out of the sum row on
     /// the last shifted write-back.
     pub ov_sum_ff: u8,
@@ -39,12 +90,14 @@ pub struct Nmc {
 impl Nmc {
     /// Creates the NMC for register window `width` (= n + 1).
     pub fn new(width: usize) -> Self {
+        let words = width.div_ceil(64);
         Nmc {
             width,
-            mult_ff: UBig::zero(),
+            mult_ff: Vec::new(),
+            mult_next: Vec::new(),
             mult_window: 0,
-            sum_ff: UBig::zero(),
-            carry_ff: UBig::zero(),
+            sum_ff: vec![0; words],
+            carry_ff: vec![0; words],
             ov_sum_ff: 0,
             ov_carry_ff: 0,
             pending_ff: 0,
@@ -52,14 +105,17 @@ impl Nmc {
         }
     }
 
-    /// Loads the multiplier fetched from SRAM and aligns it for `k`
-    /// Booth digits (one FF load).
-    pub fn load_multiplier(&mut self, a: &UBig, k: usize) {
+    /// Loads the multiplier row fetched from SRAM (little-endian limbs)
+    /// and aligns it for `k` Booth digits (one FF load).
+    pub fn load_multiplier(&mut self, a: &[u64], k: usize) {
         // Booth digit i reads bits (2i+1, 2i, 2i−1) of A; shifting A left
         // by one makes that the top three bits of a 2k+1-bit window for
         // i = k−1.
         self.mult_window = 2 * k + 1;
-        self.mult_ff = (a << 1).low_bits(self.mult_window);
+        let words = self.mult_window.div_ceil(64);
+        self.mult_ff.resize(words, 0);
+        self.mult_next.resize(words, 0);
+        shl_window(&mut self.mult_ff, a, 1, self.mult_window);
         self.register_writes += 1;
     }
 
@@ -68,22 +124,29 @@ impl Nmc {
     pub fn next_digit(&mut self) -> Radix4Digit {
         let w = self.mult_window;
         let digit = Radix4Digit::encode(
-            self.mult_ff.bit(w - 1),
-            self.mult_ff.bit(w - 2),
-            self.mult_ff.bit(w - 3),
+            bit(&self.mult_ff, w.saturating_sub(1)),
+            bit(&self.mult_ff, w.saturating_sub(2)),
+            bit(&self.mult_ff, w.saturating_sub(3)),
         );
-        self.mult_ff = (&self.mult_ff << 2).low_bits(w);
+        shl_window(&mut self.mult_next, &self.mult_ff, 2, w);
+        std::mem::swap(&mut self.mult_ff, &mut self.mult_next);
         self.register_writes += 1;
         digit
     }
 
-    /// Latches the sense-amplifier outputs (plus the MSB bits computed by
-    /// the NMC's top-bit logic) into the sum/carry FFs — two FF loads.
-    pub fn latch_sense(&mut self, sum: UBig, carry: UBig) {
-        debug_assert!(sum.bit_len() <= self.width);
-        debug_assert!(carry.bit_len() <= self.width + 1);
-        self.sum_ff = sum;
-        self.carry_ff = carry;
+    /// Latches the sense-amplifier column words plus the bit-`n` outputs
+    /// of the NMC's top-bit logic into the sum/carry FFs — two FF loads.
+    /// Columns are `n` bits wide, so the column words carry nothing at
+    /// or above bit `n`.
+    pub fn latch_sense(&mut self, xor: &[u64], maj: &[u64], xor_msb: bool, maj_msb: bool) {
+        let n = self.width - 1;
+        for (ff, cols, msb) in [
+            (&mut self.sum_ff, xor, xor_msb),
+            (&mut self.carry_ff, maj, maj_msb),
+        ] {
+            shl_window(ff, cols, 0, n);
+            set_bit(ff, n, msb);
+        }
         self.register_writes += 2;
     }
 
@@ -128,7 +191,7 @@ impl Nmc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use modsram_bigint::radix4_digits_msb_first;
+    use modsram_bigint::{radix4_digits_msb_first, UBig};
 
     #[test]
     fn booth_ff_reproduces_recoder() {
@@ -139,7 +202,7 @@ mod tests {
             let n = big.bit_len().max(1);
             let digits = radix4_digits_msb_first(&big, n);
             let mut nmc = Nmc::new(n + 1);
-            nmc.load_multiplier(&big, digits.len());
+            nmc.load_multiplier(big.limbs(), digits.len());
             for (i, want) in digits.iter().enumerate() {
                 assert_eq!(nmc.next_digit(), *want, "a={a} digit {i}");
             }
@@ -160,9 +223,9 @@ mod tests {
     #[test]
     fn register_writes_are_counted() {
         let mut nmc = Nmc::new(10);
-        nmc.load_multiplier(&UBig::from(5u64), 2);
+        nmc.load_multiplier(&[5], 2);
         nmc.next_digit();
-        nmc.latch_sense(UBig::zero(), UBig::zero());
+        nmc.latch_sense(&[], &[], false, false);
         nmc.set_ov_sum(0);
         nmc.set_ov_carry(0);
         nmc.set_pending(0);

@@ -6,6 +6,39 @@ use modsram_modmul::{CycleModel, ModMulEngine, TimingPolicy};
 use modsram_sram::{CellKind, StuckAt};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// The system allocator, counting allocations per thread so a test can
+/// bound what one device multiply allocates.
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: every call forwards unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counter is a const-initialised
+// thread-local `Cell` that never allocates.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's `layout` contract is passed through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 fn secp_p() -> UBig {
     UBig::from_hex("fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f").unwrap()
@@ -14,6 +47,58 @@ fn secp_p() -> UBig {
 fn bn254_p() -> UBig {
     UBig::from_dec("21888242871839275222246405745257275088696311157297823662689037894645226208583")
         .unwrap()
+}
+
+/// Operand widths whose register window `W = n + 1` sits on either side
+/// of a 64-bit limb boundary.
+const LIMB_BOUNDARY_WIDTHS: [usize; 10] = [63, 64, 65, 127, 128, 129, 191, 255, 256, 257];
+
+/// A device of width `n` under `policy` with an `n`-bit modulus loaded.
+fn device_at(n: usize, policy: TimingPolicy, verify: bool, p: &UBig) -> ModSram {
+    let mut dev = ModSram::new(ModSramConfig {
+        n_bits: n,
+        policy,
+        verify,
+        ..Default::default()
+    })
+    .unwrap();
+    dev.load_modulus(p).unwrap();
+    dev
+}
+
+/// One limb-boundary configuration: width, policy, an `n`-bit modulus
+/// and operand pairs below it.
+struct BoundaryCase {
+    n: usize,
+    policy: TimingPolicy,
+    p: UBig,
+    pairs: Vec<(UBig, UBig)>,
+}
+
+/// For every limb-boundary width and both timing policies: a random
+/// `n`-bit modulus and operand pairs, including `a = p − 1` (the extra
+/// Booth digit under data-dependent timing) and `a = 0`.
+fn limb_boundary_cases(seed: u64) -> Vec<BoundaryCase> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut cases = Vec::new();
+    for n in LIMB_BOUNDARY_WIDTHS {
+        for policy in [TimingPolicy::DataDependent, TimingPolicy::ConstantTime] {
+            let top = UBig::pow2(n - 1);
+            let p = &ubig_below(&mut rng, &top) + &top;
+            let pairs = vec![
+                (&p - &UBig::one(), ubig_below(&mut rng, &p)),
+                (UBig::zero(), ubig_below(&mut rng, &p)),
+                (ubig_below(&mut rng, &p), ubig_below(&mut rng, &p)),
+            ];
+            cases.push(BoundaryCase {
+                n,
+                policy,
+                p,
+                pairs,
+            });
+        }
+    }
+    cases
 }
 
 #[test]
@@ -88,6 +173,30 @@ fn random_256bit_sweep_verified() {
         assert_eq!(c, &(&a * &b) % &p);
         assert!(stats.cycles == 767 || stats.cycles == 773);
         assert!(stats.max_ov_index < 16);
+    }
+
+    // Limb boundaries: the product is exact and the ISA executor's run
+    // statistics equal the FSM's, field for field.
+    for BoundaryCase {
+        n,
+        policy,
+        p,
+        pairs,
+    } in limb_boundary_cases(2025)
+    {
+        for (a, b) in pairs {
+            let mut fsm = device_at(n, policy, true, &p);
+            let (c, s_fsm) = fsm.mod_mul(&a, &b).unwrap();
+            assert_eq!(c, &(&a * &b) % &p, "n={n} {policy:?}");
+
+            let mut isa = device_at(n, policy, true, &p);
+            isa.load_multiplicand(&b).unwrap();
+            let (c_isa, s_isa) = modsram_core::Executor::new()
+                .run_mod_mul(&mut isa, &a)
+                .unwrap();
+            assert_eq!(c_isa, c, "n={n} {policy:?}");
+            assert_eq!(s_isa, s_fsm, "n={n} {policy:?}");
+        }
     }
 }
 
@@ -331,6 +440,27 @@ fn unverified_mode_matches_verified() {
     let (c2, s2) = unverified.mod_mul(&a, &b).unwrap();
     assert_eq!(c1, c2);
     assert_eq!(s1.cycles, s2.cycles);
+
+    // Limb boundaries: verification observes the run without changing
+    // it — same product, same cycles, reads, writes, register writes
+    // and energy.
+    for BoundaryCase {
+        n,
+        policy,
+        p,
+        pairs,
+    } in limb_boundary_cases(2026)
+    {
+        let mut verified = device_at(n, policy, true, &p);
+        let mut unverified = device_at(n, policy, false, &p);
+        for (a, b) in pairs {
+            let (c1, s1) = verified.mod_mul(&a, &b).unwrap();
+            let (c2, s2) = unverified.mod_mul(&a, &b).unwrap();
+            assert_eq!(c1, &(&a * &b) % &p, "n={n} {policy:?}");
+            assert_eq!(c2, c1, "n={n} {policy:?}");
+            assert_eq!(s2, s1, "n={n} {policy:?}");
+        }
+    }
 }
 
 #[test]
@@ -387,4 +517,137 @@ fn isa_constant_time_policy_pads_to_767() {
         .unwrap();
     assert_eq!(c, UBig::from(6u64));
     assert_eq!(stats.cycles, 6 * 129 - 1);
+}
+
+/// Outcome of one run of the `fault_injection` example's device (n = 32):
+/// the divergence it reports, if any, and the 6T disturb flips counted.
+fn fault_run(
+    cell: CellKind,
+    disturb: f64,
+    sigma: f64,
+    seed: u64,
+) -> (Option<(u64, &'static str)>, u64) {
+    let mut config = ModSramConfig {
+        n_bits: 32,
+        cell,
+        ..Default::default()
+    };
+    config.fault.disturb_per_cell = disturb;
+    config.fault.sa_offset_sigma = sigma;
+    config.fault.seed = seed;
+    let mut dev = ModSram::new(config).unwrap();
+    dev.load_modulus(&UBig::from(0xffff_fffb_u64)).unwrap();
+    let a = UBig::from(0x1234_5678u64);
+    let b = UBig::from(0x0abc_def0u64);
+    let divergence = match dev.mod_mul(&a, &b) {
+        Ok((c, _)) => {
+            assert_eq!(c, &(&a * &b) % &UBig::from(0xffff_fffb_u64));
+            None
+        }
+        Err(CoreError::ModelDivergence { iteration, what }) => Some((iteration, what)),
+        Err(other) => panic!("unexpected error {other:?}"),
+    };
+    (divergence, dev.array().stats().disturb_flips)
+}
+
+#[test]
+fn fault_injection_stream_is_pinned() {
+    // The `fault_injection` example's configurations, with every
+    // divergence and disturb count as first recorded. Sensing into reused
+    // buffers must not reorder the fault RNG's draws, so each failing
+    // run must still fail at the same iteration on the same check.
+    assert_eq!(
+        fault_run(CellKind::SixT, 0.02, 0.0, 7),
+        (Some((10, "radix-4 XOR3")), 12)
+    );
+    assert_eq!(fault_run(CellKind::EightT, 0.02, 0.0, 7), (None, 0));
+
+    const R4: &str = "radix-4 XOR3";
+    const R4_MAJ: &str = "radix-4 MAJ";
+    const OV: &str = "overflow XOR3";
+    let sigma_02: [(u64, &str); 20] = [
+        (2, R4_MAJ),
+        (2, R4),
+        (2, OV),
+        (1, R4),
+        (2, R4),
+        (4, R4),
+        (2, R4),
+        (2, OV),
+        (1, R4),
+        (2, R4),
+        (3, OV),
+        (1, OV),
+        (1, OV),
+        (2, R4),
+        (1, R4),
+        (1, R4),
+        (1, R4),
+        (2, OV),
+        (4, OV),
+        (2, R4),
+    ];
+    let sigma_03: [(u64, &str); 20] = [
+        (1, OV),
+        (1, R4),
+        (1, R4),
+        (1, R4),
+        (1, R4),
+        (1, R4),
+        (1, OV),
+        (1, R4),
+        (1, R4),
+        (2, R4),
+        (1, OV),
+        (1, R4),
+        (1, OV),
+        (1, R4),
+        (1, R4),
+        (1, R4),
+        (1, R4),
+        (2, R4),
+        (1, R4),
+        (1, R4),
+    ];
+    for seed in 100..120u64 {
+        assert_eq!(
+            fault_run(CellKind::EightT, 0.0, 0.1, seed),
+            (None, 0),
+            "σ=0.1 seed {seed}"
+        );
+        let i = (seed - 100) as usize;
+        assert_eq!(
+            fault_run(CellKind::EightT, 0.0, 0.2, seed),
+            (Some(sigma_02[i]), 0),
+            "σ=0.2 seed {seed}"
+        );
+        assert_eq!(
+            fault_run(CellKind::EightT, 0.0, 0.3, seed),
+            (Some(sigma_03[i]), 0),
+            "σ=0.3 seed {seed}"
+        );
+    }
+}
+
+#[test]
+fn device_multiply_allocates_nothing_per_cycle() {
+    // With verification on and tracing off, one 256-bit multiply (767+
+    // cycles, 128+ Booth digits) may allocate only per-run values —
+    // the reduced operand, the digit stream, the fetched row and the
+    // finisher's sums — never per cycle or per digit.
+    let p = secp_p();
+    let mut dev = ModSram::for_modulus(&p).unwrap();
+    let b = &UBig::pow2(200) + &UBig::from(12345u64);
+    dev.mod_mul(&UBig::from(7u64), &b).unwrap(); // sizes the reused buffers
+    let a = &p - &UBig::from(3u64);
+    let before = allocations();
+    let (c, stats) = dev.mod_mul(&a, &b).unwrap();
+    let used = allocations() - before;
+    assert_eq!(c, &(&a * &b) % &p);
+    println!("{used} allocations over {} cycles", stats.cycles);
+    assert!(
+        used < 32,
+        "{used} allocations for one multiply of {} digits",
+        stats.iterations
+    );
 }

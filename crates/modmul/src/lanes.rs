@@ -27,6 +27,11 @@
 //!   [`crate::carryfree`] across lanes (no shared-multiplicand
 //!   requirement: the injected addend is the lane's own `B`).
 //!
+//! The same carry-save core at one lane is also [`CsaLockstep`]: the
+//! Algorithm 3 loop advanced one LUT phase at a time, which the
+//! cycle-accurate device in `modsram-core` checks itself against after
+//! every activation.
+//!
 //! Montgomery has no laned kernel: its per-pair CIOS
 //! ([`modsram_bigint::mont_mul_limbs`]) already beats a laned CIOS at
 //! every width, so `montgomery` batches run that one kernel pair by pair.
@@ -343,18 +348,17 @@ impl CsaLanes {
     }
 
     /// In-place left shift of one SoA buffer by `bits ∈ {1, 2}` with the
-    /// window mask applied.
+    /// window mask applied. Limb `i` of a lane sits `lanes` entries above
+    /// limb `i − 1`, so the shift is one flat pass from the top.
     fn shift_buf(buf: &mut [u64], wl: usize, lanes: usize, bits: usize, top_mask: u64) {
-        for i in (0..wl).rev() {
-            let base = i * lanes;
-            for l in 0..lanes {
-                let lo = if i > 0 { buf[(i - 1) * lanes + l] } else { 0 };
-                buf[base + l] = (buf[base + l] << bits) | (lo >> (64 - bits));
-            }
+        for idx in (lanes..wl * lanes).rev() {
+            buf[idx] = (buf[idx] << bits) | (buf[idx - lanes] >> (64 - bits));
         }
-        let base = (wl - 1) * lanes;
-        for l in 0..lanes {
-            buf[base + l] &= top_mask;
+        for v in &mut buf[..lanes] {
+            *v <<= bits;
+        }
+        for v in &mut buf[(wl - 1) * lanes..wl * lanes] {
+            *v &= top_mask;
         }
     }
 
@@ -380,21 +384,18 @@ impl CsaLanes {
     /// carry), capturing the weight-`2^width` carry-out per lane.
     fn inject(&mut self, v: &[u64], msb_out: &mut [u8; MAX_LANES]) {
         let (wl, lanes) = (self.wl, self.lanes);
-        for i in 0..wl {
-            let base = i * lanes;
-            for l in 0..lanes {
-                let (vv, s, c) = (v[base + l], self.sum[base + l], self.carry[base + l]);
-                self.xbuf[base + l] = vv ^ s ^ c;
-                self.mbuf[base + l] = (vv & s) | (vv & c) | (s & c);
-            }
+        let inputs = v.iter().zip(&self.sum).zip(&self.carry);
+        for (((&vv, &s), &c), (x, m)) in inputs.zip(self.xbuf.iter_mut().zip(&mut self.mbuf)) {
+            *x = vv ^ s ^ c;
+            *m = (vv & s) | (vv & c) | (s & c);
         }
         for (l, m) in msb_out.iter_mut().enumerate().take(lanes) {
             // Bit `width` of m ≪ 1 is bit `width − 1` of m.
             *m = Self::lane_bit(&self.mbuf, lanes, l, self.width - 1);
         }
         Self::shift_buf(&mut self.mbuf, wl, lanes, 1, self.top_mask);
-        self.sum.copy_from_slice(&self.xbuf);
-        self.carry.copy_from_slice(&self.mbuf);
+        std::mem::swap(&mut self.sum, &mut self.xbuf);
+        std::mem::swap(&mut self.carry, &mut self.mbuf);
     }
 
     /// The near-memory finisher: `sum + carry (+ pending·2^width) mod p`.
@@ -423,6 +424,129 @@ fn flatten_rows(rows: &[UBig], wl: usize) -> Vec<u64> {
 fn gather_row(dst: &mut [u64], lanes: usize, l: usize, rows: &[u64], row: usize, wl: usize) {
     for i in 0..wl {
         dst[i * lanes + l] = rows[row * wl + i];
+    }
+}
+
+// ---------------------------------------------------------------------
+// Lock-step phases (one lane)
+// ---------------------------------------------------------------------
+
+/// One lane of the carry-save core advanced one Algorithm 3 phase at a
+/// time: the lock-step oracle of the cycle-accurate ModSRAM device.
+///
+/// The accumulator words are plain little-endian limbs of the
+/// `width`-bit window (`n + 1` bits), so a device can compare its
+/// latched XOR3 and shifted MAJ words against [`CsaLockstep::sum`] and
+/// [`CsaLockstep::carry`] without converting. The LUT rows come from
+/// the software tables ([`LutRadix4`], [`LutOverflow`]), never from a
+/// simulated array, so a corrupted wordline cannot hide itself.
+///
+/// # Examples
+///
+/// ```
+/// use modsram_bigint::{radix4_digits_msb_first, UBig};
+/// use modsram_modmul::{CsaLockstep, LutOverflow, LutRadix4};
+///
+/// // The paper's Figure 3 example: A=10101, B=10010, p=11000 (n = 5).
+/// let (a, b, p) = (UBig::from(21u64), UBig::from(18u64), UBig::from(24u64));
+/// let mut oracle = CsaLockstep::new(6);
+/// oracle.load_radix4(&LutRadix4::new(&b, &p).unwrap());
+/// oracle.load_overflow(&LutOverflow::new(&p, 6).unwrap());
+/// oracle.reset();
+/// for d in radix4_digits_msb_first(&a, 5) {
+///     oracle.radix4_phase(d);
+///     oracle.overflow_phase();
+/// }
+/// assert_eq!(oracle.finalize(&p), UBig::from(21u64 * 18 % 24));
+/// ```
+#[derive(Debug, Clone)]
+pub struct CsaLockstep {
+    core: CsaLanes,
+    /// Flattened Table 1b rows (`5 × wl`).
+    lut4_rows: Vec<u64>,
+    /// Flattened Table 2 rows (`LutOverflow::ENTRIES × wl`).
+    ov_rows: Vec<u64>,
+    /// `ov_sum + ov_carry + csa1_msb_out` of the current iteration's
+    /// radix-4 phase, consumed by its overflow phase.
+    ov_partial: usize,
+    /// Deferred overflow-phase carry-out (weight `2^width` before the
+    /// next shift).
+    pending: u8,
+}
+
+impl CsaLockstep {
+    /// A zeroed oracle for a `width`-bit window with empty (all-zero)
+    /// LUTs.
+    pub fn new(width: usize) -> Self {
+        let core = CsaLanes::new(width, 1);
+        let wl = core.wl;
+        CsaLockstep {
+            core,
+            lut4_rows: vec![0; 5 * wl],
+            ov_rows: vec![0; LutOverflow::ENTRIES * wl],
+            ov_partial: 0,
+            pending: 0,
+        }
+    }
+
+    /// Loads Table 1b (rewritten whenever the multiplicand changes).
+    pub fn load_radix4(&mut self, lut4: &LutRadix4) {
+        self.lut4_rows = flatten_rows(lut4.rows(), self.core.wl);
+    }
+
+    /// Loads Table 2 (rewritten whenever the modulus changes).
+    pub fn load_overflow(&mut self, lutov: &LutOverflow) {
+        debug_assert_eq!(lutov.width(), self.core.width, "overflow LUT window");
+        self.ov_rows = flatten_rows(lutov.rows(), self.core.wl);
+    }
+
+    /// Clears the accumulator and the deferred carry for a new run.
+    pub fn reset(&mut self) {
+        self.core.reset();
+        self.ov_partial = 0;
+        self.pending = 0;
+    }
+
+    /// Alg. 3 lines 4–9: `C ← 4·C`, then the radix-4 LUT injection for
+    /// `digit`. Returns `(ov_sum, ov_carry, csa1_msb_out)`: the two bits
+    /// shifted out of each word and the injection's carry-out.
+    pub fn radix4_phase(&mut self, digit: Radix4Digit) -> (u8, u8, u8) {
+        let (mut ov_s, mut ov_c, mut msb) = ([0u8; MAX_LANES], [0u8; MAX_LANES], [0u8; MAX_LANES]);
+        self.core.shl(2, &mut ov_s, &mut ov_c);
+        let wl = self.core.wl;
+        let row = LutRadix4::index_of(digit) * wl;
+        self.core.inject(&self.lut4_rows[row..row + wl], &mut msb);
+        self.ov_partial = ov_s[0] as usize + ov_c[0] as usize + msb[0] as usize;
+        (ov_s[0], ov_c[0], msb[0])
+    }
+
+    /// Alg. 3 lines 6 and 10–12: assembles the overflow index (with the
+    /// deferred carry at weight 4) and injects its Table 2 row. Returns
+    /// `(ov_index, pending_out)`.
+    pub fn overflow_phase(&mut self) -> (usize, u8) {
+        let index = self.ov_partial + 4 * self.pending as usize;
+        let mut out = [0u8; MAX_LANES];
+        let wl = self.core.wl;
+        self.core
+            .inject(&self.ov_rows[index * wl..(index + 1) * wl], &mut out);
+        self.ov_partial = 0;
+        self.pending = out[0];
+        (index, out[0])
+    }
+
+    /// The sum word (`width` bits as limbs).
+    pub fn sum(&self) -> &[u64] {
+        &self.core.sum
+    }
+
+    /// The carry word (`MAJ ≪ 1` inside the window, as limbs).
+    pub fn carry(&self) -> &[u64] {
+        &self.core.carry
+    }
+
+    /// Alg. 3 line 14: `sum + carry (+ pending·2^width) mod p`.
+    pub fn finalize(&self, p: &UBig) -> UBig {
+        self.core.finalize_lane(0, self.pending, p)
     }
 }
 

@@ -20,7 +20,9 @@
 //! * [`lut`] — the two precomputed tables (Tables 1b and 2).
 //! * [`lanes`] — the structure-of-arrays batch kernels behind
 //!   `mod_mul_batch`: coalesced runs transposed into limb-major lanes
-//!   so several multiplications advance per limb pass.
+//!   so several multiplications advance per limb pass; at one lane the
+//!   same carry-save core is [`CsaLockstep`], the device's lock-step
+//!   oracle.
 //!
 //! Every engine implements [`ModMulEngine`], so they are interchangeable
 //! in the ECC/NTT substrate and can be cross-checked against each other.
@@ -72,7 +74,7 @@ pub use engine::{
 };
 pub use interleaved::InterleavedEngine;
 pub use lanes::{
-    BarrettLanes, CarryFreeLanes, R4CsaLanes, DEFAULT_LANES, LANE_MIN_PAIRS, MAX_LANES,
+    BarrettLanes, CarryFreeLanes, CsaLockstep, R4CsaLanes, DEFAULT_LANES, LANE_MIN_PAIRS, MAX_LANES,
 };
 pub use lut::{LutOverflow, LutRadix4};
 pub use montgomery::{MontgomeryEngine, PreparedMontgomery};

@@ -79,8 +79,9 @@ impl TimingPolicy {
 }
 
 /// Everything one loop iteration did — used for dataflow traces
-/// (Figure 3) and for lock-step verification against the SRAM-backed
-/// implementation in `modsram-core`.
+/// (Figure 3) and the per-step invariant tests. (The SRAM-backed device
+/// in `modsram-core` verifies itself against [`crate::CsaLockstep`]
+/// instead, which checks the same values without cloning them.)
 #[derive(Debug, Clone)]
 pub struct StepTrace {
     /// The Booth digit processed this iteration.
@@ -131,8 +132,13 @@ impl R4CsaStats {
     }
 }
 
-/// The iteration core of Algorithm 3, shared between this functional
-/// engine and the cycle-accurate SRAM implementation.
+/// The iteration core of Algorithm 3 behind this functional engine and
+/// its prepared context.
+///
+/// The cycle-accurate SRAM device does not step this type: its
+/// lock-step oracle is the laned carry-save core at one lane
+/// ([`crate::CsaLockstep`]), advanced one LUT phase at a time on reused
+/// limb words. Both implement the same recurrence.
 ///
 /// # Examples
 ///

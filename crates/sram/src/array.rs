@@ -76,6 +76,9 @@ pub struct SramArray {
     config: SramConfig,
     words_per_row: usize,
     data: Vec<u64>,
+    /// Three rows of staging words reused by every activation (the
+    /// activated rows after stuck-at faults, zero-padded to three).
+    scratch: Vec<u64>,
     stats: SramStats,
     rng: SmallRng,
     trace: Option<Vec<Event>>,
@@ -95,6 +98,7 @@ impl SramArray {
         SramArray {
             words_per_row,
             data: vec![0; config.rows * words_per_row],
+            scratch: vec![0; 3 * words_per_row],
             stats: SramStats::default(),
             rng,
             config,
@@ -133,24 +137,19 @@ impl SramArray {
         self.trace.as_deref()
     }
 
-    fn record(&mut self, op: OpKind, rows: Vec<usize>) {
+    fn record(&mut self, op: OpKind, rows: &[usize]) {
         if let Some(t) = self.trace.as_mut() {
             let seq = t.len() as u64;
-            t.push(Event { seq, op, rows });
+            t.push(Event {
+                seq,
+                op,
+                rows: rows.to_vec(),
+            });
         }
     }
 
     fn row_slice(&self, row: usize) -> &[u64] {
         &self.data[row * self.words_per_row..(row + 1) * self.words_per_row]
-    }
-
-    fn mask_top_word(&self, words: &mut [u64]) {
-        let extra = self.words_per_row * 64 - self.config.cols;
-        if extra > 0 {
-            if let Some(top) = words.last_mut() {
-                *top &= u64::MAX >> extra;
-            }
-        }
     }
 
     /// Writes a row through the write port. Missing words are zero-filled.
@@ -166,20 +165,23 @@ impl SramArray {
             "{} words exceed row width",
             bits.len()
         );
-        let mut padded = vec![0u64; self.words_per_row];
-        padded[..bits.len()].copy_from_slice(bits);
-        let before = padded.clone();
-        self.mask_top_word(&mut padded);
-        assert!(
-            before == padded,
-            "write sets bits beyond column {}",
-            self.config.cols
-        );
+        let extra = self.words_per_row * 64 - self.config.cols;
+        if extra > 0 && bits.len() == self.words_per_row {
+            let top = bits.last().copied().unwrap_or(0);
+            assert!(
+                top >> (64 - extra) == 0,
+                "write sets bits beyond column {}",
+                self.config.cols
+            );
+        }
         let base = row * self.words_per_row;
-        self.data[base..base + self.words_per_row].copy_from_slice(&padded);
+        let dst = &mut self.data[base..base + self.words_per_row];
+        let (head, tail) = dst.split_at_mut(bits.len());
+        head.copy_from_slice(bits);
+        tail.fill(0);
         self.stats.row_writes += 1;
         self.stats.energy_pj += self.config.energy.write_row_pj(self.config.cols);
-        self.record(OpKind::WriteRow, vec![row]);
+        self.record(OpKind::WriteRow, &[row]);
     }
 
     /// Reads one row through the read port.
@@ -191,9 +193,9 @@ impl SramArray {
         assert!(row < self.config.rows, "row {row} out of range");
         self.stats.row_reads += 1;
         self.stats.energy_pj += self.config.energy.read_row_pj(self.config.cols);
-        self.record(OpKind::ReadRow, vec![row]);
+        self.record(OpKind::ReadRow, &[row]);
         let mut out = self.row_slice(row).to_vec();
-        self.apply_stuck_at_row(row, &mut out);
+        apply_stuck_at(&self.config, row, &mut out);
         out
     }
 
@@ -223,6 +225,20 @@ impl SramArray {
     /// Panics if `rows` is empty, longer than 3, contains duplicates, or
     /// indexes out of range.
     pub fn activate(&mut self, rows: &[usize]) -> SenseOut {
+        let mut out = SenseOut::default();
+        self.activate_into(rows, &mut out);
+        out
+    }
+
+    /// [`SramArray::activate`] into a caller-owned [`SenseOut`], which is
+    /// resized and overwritten; reusing one `out` across activations
+    /// makes the call allocation-free. Faults, noise draws, disturb
+    /// flips, counters and the trace are exactly those of `activate`.
+    ///
+    /// # Panics
+    ///
+    /// As [`SramArray::activate`].
+    pub fn activate_into(&mut self, rows: &[usize], out: &mut SenseOut) {
         assert!(
             !rows.is_empty() && rows.len() <= 3,
             "logic-SA senses 1 to 3 wordlines"
@@ -235,27 +251,28 @@ impl SramArray {
             );
         }
 
-        let mut row_data: Vec<Vec<u64>> = rows
-            .iter()
-            .map(|&r| {
-                let mut d = self.row_slice(r).to_vec();
-                self.apply_stuck_at_row(r, &mut d);
-                d
-            })
-            .collect();
-        // Pad to three rows of zeros so the sense math is uniform.
-        while row_data.len() < 3 {
-            row_data.push(vec![0; self.words_per_row]);
+        // Stage the activated rows, zero-padded to three so the sense
+        // math is uniform.
+        let wpr = self.words_per_row;
+        for (slot, staged) in self.scratch.chunks_exact_mut(wpr).enumerate() {
+            match rows.get(slot) {
+                Some(&r) => {
+                    staged.copy_from_slice(&self.data[r * wpr..(r + 1) * wpr]);
+                    apply_stuck_at(&self.config, r, staged);
+                }
+                None => staged.fill(0),
+            }
         }
-
-        let sigma = self.config.fault.sa_offset_sigma;
-        let out = sense_columns(
-            &row_data[0],
-            &row_data[1],
-            &row_data[2],
+        let (r0, rest) = self.scratch.split_at(wpr);
+        let (r1, r2) = rest.split_at(wpr);
+        sense_columns(
+            r0,
+            r1,
+            r2,
             self.config.cols,
-            sigma,
+            self.config.fault.sa_offset_sigma,
             &mut self.rng,
+            out,
         );
 
         // 6T read disturb: stored ones on activated rows may flip.
@@ -286,20 +303,20 @@ impl SramArray {
         self.stats.wl_pulses += rows.len() as u64;
         self.stats.sa_fires += 3 * self.config.cols as u64;
         self.stats.energy_pj += self.config.energy.activate_pj(self.config.cols, rows.len());
-        self.record(OpKind::Activate, rows.to_vec());
-        out
+        self.record(OpKind::Activate, rows);
     }
+}
 
-    fn apply_stuck_at_row(&self, row: usize, words: &mut [u64]) {
-        for fault in &self.config.fault.stuck_at {
-            if fault.row == row && fault.col < self.config.cols {
-                let w = fault.col / 64;
-                let b = fault.col % 64;
-                if fault.value {
-                    words[w] |= 1 << b;
-                } else {
-                    words[w] &= !(1 << b);
-                }
+/// Applies `config`'s stuck-at faults on `row` to that row's words.
+fn apply_stuck_at(config: &SramConfig, row: usize, words: &mut [u64]) {
+    for fault in &config.fault.stuck_at {
+        if fault.row == row && fault.col < config.cols {
+            let w = fault.col / 64;
+            let b = fault.col % 64;
+            if fault.value {
+                words[w] |= 1 << b;
+            } else {
+                words[w] &= !(1 << b);
             }
         }
     }

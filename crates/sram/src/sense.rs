@@ -22,7 +22,11 @@ use rand::Rng;
 
 /// Decoded outputs of one multi-row activation, one packed word vector
 /// per logic function.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// [`crate::SramArray::activate_into`] resizes and overwrites every
+/// field, so one (possibly [`Default`]) value can be reused across
+/// activations without reallocating.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SenseOut {
     /// `OR` of the activated rows (SA₁).
     pub or: Vec<u64>,
@@ -43,7 +47,9 @@ fn gaussian(rng: &mut SmallRng) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
-/// Senses every column given three (zero-padded) row word vectors.
+/// Senses every column given three (zero-padded) row word vectors,
+/// overwriting `out` (its vectors are resized to the row width and
+/// keep their capacity).
 pub(crate) fn sense_columns(
     r0: &[u64],
     r1: &[u64],
@@ -51,26 +57,33 @@ pub(crate) fn sense_columns(
     cols: usize,
     sa_offset_sigma: f64,
     rng: &mut SmallRng,
-) -> SenseOut {
+    out: &mut SenseOut,
+) {
     let words = r0.len();
-    let mut out = SenseOut {
-        or: vec![0; words],
-        maj: vec![0; words],
-        and: vec![0; words],
-        xor: vec![0; words],
-        cols,
-    };
+    for v in [&mut out.or, &mut out.maj, &mut out.and, &mut out.xor] {
+        v.resize(words, 0);
+    }
+    out.cols = cols;
 
     if sa_offset_sigma == 0.0 {
         // Ideal sensing reduces to exact bitwise logic.
-        for w in 0..words {
-            let (a, b, c) = (r0[w], r1[w], r2[w]);
-            out.or[w] = a | b | c;
-            out.maj[w] = (a & b) | (a & c) | (b & c);
-            out.and[w] = a & b & c;
-            out.xor[w] = a ^ b ^ c;
+        let rows = r0.iter().zip(r1).zip(r2);
+        let outs = out
+            .or
+            .iter_mut()
+            .zip(&mut out.maj)
+            .zip(&mut out.and)
+            .zip(&mut out.xor);
+        for (((a, b), c), (((or, maj), and), xor)) in rows.zip(outs) {
+            *or = a | b | c;
+            *maj = (a & b) | (a & c) | (b & c);
+            *and = a & b & c;
+            *xor = a ^ b ^ c;
         }
-        return out;
+        return;
+    }
+    for v in [&mut out.or, &mut out.maj, &mut out.and, &mut out.xor] {
+        v.fill(0);
     }
 
     // Noisy sensing: per column, per SA, threshold comparison with a
@@ -98,13 +111,25 @@ pub(crate) fn sense_columns(
             out.xor[w] |= 1 << b;
         }
     }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::SeedableRng;
+
+    fn sense(
+        r0: &[u64],
+        r1: &[u64],
+        r2: &[u64],
+        cols: usize,
+        sigma: f64,
+        rng: &mut SmallRng,
+    ) -> SenseOut {
+        let mut out = SenseOut::default();
+        sense_columns(r0, r1, r2, cols, sigma, rng, &mut out);
+        out
+    }
 
     #[test]
     fn ideal_sense_truth_table() {
@@ -113,7 +138,7 @@ mod tests {
         let r0 = [0b1111_0000u64];
         let r1 = [0b1100_1100u64];
         let r2 = [0b1010_1010u64];
-        let out = sense_columns(&r0, &r1, &r2, 8, 0.0, &mut rng);
+        let out = sense(&r0, &r1, &r2, 8, 0.0, &mut rng);
         for col in 0..8 {
             let k = ((r0[0] >> col) & 1) + ((r1[0] >> col) & 1) + ((r2[0] >> col) & 1);
             assert_eq!((out.or[0] >> col) & 1, (k >= 1) as u64, "or col {col}");
@@ -129,8 +154,8 @@ mod tests {
         let r0 = [0x0123_4567_89ab_cdefu64];
         let r1 = [0xfedc_ba98_7654_3210u64];
         let r2 = [0xaaaa_5555_aaaa_5555u64];
-        let ideal = sense_columns(&r0, &r1, &r2, 64, 0.0, &mut rng);
-        let noisy = sense_columns(&r0, &r1, &r2, 64, 1e-9, &mut rng);
+        let ideal = sense(&r0, &r1, &r2, 64, 0.0, &mut rng);
+        let noisy = sense(&r0, &r1, &r2, 64, 1e-9, &mut rng);
         assert_eq!(ideal, noisy);
     }
 
@@ -141,7 +166,7 @@ mod tests {
         let r1 = [0u64];
         let r2 = [0u64];
         // σ = 2 level separations: decisions are near-random.
-        let noisy = sense_columns(&r0, &r1, &r2, 64, 2.0, &mut rng);
+        let noisy = sense(&r0, &r1, &r2, 64, 2.0, &mut rng);
         assert_ne!(noisy.xor[0], u64::MAX, "noise should break some columns");
     }
 
@@ -157,7 +182,7 @@ mod tests {
             let mut rng = SmallRng::seed_from_u64(1000 + i as u64);
             let mut wrong = 0u32;
             for _ in 0..50 {
-                let out = sense_columns(&r0, &r1, &r2, 64, *sigma, &mut rng);
+                let out = sense(&r0, &r1, &r2, 64, *sigma, &mut rng);
                 wrong += (out.xor[0] ^ ideal_xor).count_ones();
             }
             rates.push(wrong);

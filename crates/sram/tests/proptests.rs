@@ -1,6 +1,6 @@
 //! Property tests for the SRAM PIM simulator.
 
-use modsram_sram::{CellKind, SramArray, SramConfig};
+use modsram_sram::{CellKind, SenseOut, SramArray, SramConfig, StuckAt};
 use proptest::prelude::*;
 
 /// Arbitrary geometry plus row data that fits it.
@@ -102,6 +102,53 @@ proptest! {
             let e = array.stats().energy_pj;
             prop_assert!(e > last);
             last = e;
+        }
+    }
+
+    #[test]
+    fn activate_into_matches_activate_on_a_noisy_array(
+        cols in 1usize..200,
+        sigma in 0.05f64..0.6,
+        disturb in 0.0f64..0.2,
+        seed in any::<u64>(),
+        data in prop::collection::vec(any::<u64>(), 12),
+        picks in prop::collection::vec((0usize..6, 0usize..6, 0usize..6, 1usize..=3), 1..12),
+    ) {
+        // Same seed, same noisy 6T array with a stuck-at cell: one copy
+        // senses through `activate`, the other reuses one `SenseOut`
+        // through `activate_into`. Every output, every counter and the
+        // stored contents (read-disturb flips) must agree, so a reused
+        // sense buffer cannot reorder the fault RNG draws.
+        let mut cfg = SramConfig::ideal(6, cols);
+        cfg.cell = CellKind::SixT;
+        cfg.fault.sa_offset_sigma = sigma;
+        cfg.fault.disturb_per_cell = disturb;
+        cfg.fault.seed = seed;
+        cfg.fault.stuck_at.push(StuckAt { row: 1, col: cols / 2, value: true });
+        let mut fresh = SramArray::new(cfg.clone());
+        let mut reused = SramArray::new(cfg);
+        let words = cols.div_ceil(64);
+        for row in 0..6 {
+            let mut w: Vec<u64> = (0..words).map(|i| data[(row * 2 + i) % data.len()]).collect();
+            mask_words(&mut w, cols);
+            fresh.write_row(row, &w);
+            reused.write_row(row, &w);
+        }
+        let mut out = SenseOut::default();
+        for (a, b, c, len) in picks {
+            let mut rows = vec![a];
+            for r in [b, c] {
+                if rows.len() < len && !rows.contains(&r) {
+                    rows.push(r);
+                }
+            }
+            let want = fresh.activate(&rows);
+            reused.activate_into(&rows, &mut out);
+            prop_assert_eq!(&out, &want);
+            prop_assert_eq!(reused.stats(), fresh.stats());
+        }
+        for row in 0..6 {
+            prop_assert_eq!(reused.peek_row(row), fresh.peek_row(row));
         }
     }
 }
