@@ -18,6 +18,7 @@
 //! | 3 | `wall_ns`, `cycles` | `core/src/service.rs` | stats reservoirs |
 //! | 3 | `first_error`, `parts` | `core/src/dispatch.rs` | worker result stitching |
 //! | 4 | `slot` | `core/src/service.rs` | per-ticket completion slot |
+//! | — | ticket callbacks (`Ticket::on_complete`) run with no known lock held | `core/src/service.rs` | |
 //!
 //! The `Membership` RwLock outranks every tile-level mutex: a tile
 //! queue lock taken first must never try to read the membership. And

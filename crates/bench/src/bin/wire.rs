@@ -10,13 +10,14 @@
 //! cargo run --release --bin wire -- --jobs-per-client 64 --clients 1,2
 //! ```
 //!
-//! The headline column is **wire/in-proc**: serving throughput over
+//! The headline columns are **wire/in-proc**: serving throughput over
 //! loopback TCP divided by the same closed loop on a bare cluster
-//! handle. Acceptance, asserted in-binary: the triangle streamed-over-
-//! wire ≡ staged ≡ big-integer oracle holds for every response; zero
-//! lost and zero duplicated request ids in every row **and** through a
-//! live `drain_tile` mid-stream at the largest client count; the
-//! largest clean row sustains ≥ 0.9× the in-process baseline; the
+//! handle, for the best and the median matched pass pair. Acceptance,
+//! asserted in-binary: the triangle streamed-over-wire ≡ staged ≡
+//! big-integer oracle holds for every response; zero lost and zero
+//! duplicated request ids in every row **and** through a live
+//! `drain_tile` mid-stream at the largest client count; the largest
+//! row's *median* pair ratio is ≥ `--min-ratio` (0.9 by default); the
 //! admission probe observes each typed refusal (`saturated`,
 //! `rate_limited`, `inflight_cap`) on the wire.
 
@@ -105,6 +106,7 @@ fn main() {
                 format!("{:.0}", r.wire_jobs_per_s),
                 format!("{:.0}", r.inproc_jobs_per_s),
                 format!("{:.2}x", r.wire_vs_inproc),
+                format!("{:.2}x", r.wire_vs_inproc_median),
                 r.retries.to_string(),
                 format!("{:.0}", r.wire_p50_ns as f64 / 1000.0),
                 format!("{:.0}", r.wire_p99_ns as f64 / 1000.0),
@@ -123,6 +125,7 @@ fn main() {
             "wire jobs/s",
             "in-proc jobs/s",
             "wire/in-proc",
+            "median",
             "retries",
             "p50 us",
             "p99 us",
@@ -192,6 +195,7 @@ fn main() {
             "wire_jobs_per_s": r.wire_jobs_per_s,
             "inproc_jobs_per_s": r.inproc_jobs_per_s,
             "wire_vs_inproc": r.wire_vs_inproc,
+            "wire_vs_inproc_median": r.wire_vs_inproc_median,
             "retries": r.retries,
             "lost": r.lost,
             "duplicates": r.duplicates,
@@ -291,8 +295,13 @@ fn main() {
 
     let largest = sweep.rows.last().expect("at least one row");
     println!(
-        "wire serving: {:.0} jobs/s over TCP at {} clients, {:.2}x of in-process ({:.0} jobs/s)",
-        largest.wire_jobs_per_s, largest.clients, largest.wire_vs_inproc, largest.inproc_jobs_per_s
+        "wire serving: {:.0} jobs/s over TCP at {} clients, {:.2}x of in-process ({:.0} jobs/s), \
+         median pair {:.2}x",
+        largest.wire_jobs_per_s,
+        largest.clients,
+        largest.wire_vs_inproc,
+        largest.inproc_jobs_per_s,
+        largest.wire_vs_inproc_median
     );
     if largest.remeasures > 0 {
         println!(
@@ -301,9 +310,9 @@ fn main() {
         );
     }
     assert!(
-        largest.wire_vs_inproc >= args.min_ratio,
-        "acceptance: wire throughput {:.2}x in-process at {} clients (< {:.2}x)",
-        largest.wire_vs_inproc,
+        largest.wire_vs_inproc_median >= args.min_ratio,
+        "acceptance: median wire throughput {:.2}x in-process at {} clients (< {:.2}x)",
+        largest.wire_vs_inproc_median,
         largest.clients,
         args.min_ratio
     );

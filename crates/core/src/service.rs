@@ -11,8 +11,9 @@
 //!
 //! * **Submission handles** — [`ModSramService::handle`] returns a
 //!   cloneable [`SubmitHandle`]; [`SubmitHandle::submit`] enqueues one
-//!   job and returns a [`Ticket`] redeemable for the product
-//!   (blocking [`Ticket::wait`] or non-blocking [`Ticket::try_poll`]).
+//!   job and returns a [`Ticket`] redeemable for the product (blocking
+//!   [`Ticket::wait`], non-blocking [`Ticket::try_poll`], or pushed to
+//!   a [`Ticket::on_complete`] callback).
 //! * **Backpressure** — the queue is bounded
 //!   ([`ServiceConfig::queue_capacity`]). `submit` blocks until space
 //!   frees; [`SubmitHandle::try_submit`] refuses immediately with
@@ -183,16 +184,29 @@ impl From<ServiceError> for CoreError {
     }
 }
 
+/// Where one ticket's result stands.
+enum Slot {
+    /// Not completed, nothing registered.
+    Pending,
+    /// Not completed; the [`Ticket::on_complete`] callback takes the
+    /// result.
+    Callback(Box<dyn FnOnce(Result<UBig, ServiceError>) + Send>),
+    /// Completed, held for [`Ticket::wait`] and [`Ticket::try_poll`].
+    Done(Result<UBig, ServiceError>),
+    /// Completed and handed to the callback.
+    Delivered,
+}
+
 /// One ticket's completion slot.
 struct TicketState {
-    slot: Mutex<Option<Result<UBig, ServiceError>>>,
+    slot: Mutex<Slot>,
     ready: Condvar,
 }
 
 impl TicketState {
     fn new() -> Arc<Self> {
         Arc::new(TicketState {
-            slot: Mutex::new(None),
+            slot: Mutex::new(Slot::Pending),
             ready: Condvar::new(),
         })
     }
@@ -200,15 +214,26 @@ impl TicketState {
     /// Delivers a result if none has been delivered yet; returns
     /// whether this call won the slot (later calls are no-ops, which
     /// makes the executor's panic guard idempotent with normal
-    /// delivery).
+    /// delivery). A registered callback runs here, after the slot lock
+    /// is released.
     fn complete(&self, result: Result<UBig, ServiceError>) -> bool {
         let mut slot = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
-        let won = slot.is_none();
-        if won {
-            *slot = Some(result);
+        match std::mem::replace(&mut *slot, Slot::Delivered) {
+            Slot::Pending => {
+                *slot = Slot::Done(result);
+                drop(slot);
+                self.ready.notify_all();
+            }
+            Slot::Callback(f) => {
+                drop(slot);
+                f(result);
+            }
+            finished => {
+                *slot = finished;
+                return false;
+            }
         }
-        self.ready.notify_all();
-        won
+        true
     }
 }
 
@@ -216,7 +241,9 @@ impl TicketState {
 ///
 /// Redeem with [`Ticket::wait`] (blocking) or poll with
 /// [`Ticket::try_poll`]; both may be called repeatedly and from the
-/// thread of your choice.
+/// thread of your choice. Or hand the ticket to
+/// [`Ticket::on_complete`] to have the result pushed to a callback
+/// instead.
 pub struct Ticket {
     state: Arc<TicketState>,
 }
@@ -236,7 +263,7 @@ impl Ticket {
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         loop {
-            if let Some(result) = slot.as_ref() {
+            if let Slot::Done(result) = &*slot {
                 return result.clone();
             }
             slot = self
@@ -247,52 +274,38 @@ impl Ticket {
         }
     }
 
-    /// Blocks until the job completes or `timeout` elapses.
-    ///
-    /// Returns `None` on timeout — the ticket is still live and may be
-    /// waited on again (connection handlers use this to bound how long
-    /// a writer thread parks on one response without abandoning it).
-    pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<UBig, ServiceError>> {
-        self.wait_deadline(Instant::now() + timeout)
-    }
-
-    /// Like [`Ticket::wait_timeout`], but against an absolute deadline:
-    /// a `try_poll` loop that parks on the completion condvar between
-    /// polls, so callers iterating many tickets toward one shared
-    /// deadline don't accumulate per-ticket timeout drift.
-    pub fn wait_deadline(&self, deadline: Instant) -> Option<Result<UBig, ServiceError>> {
+    /// Consumes the ticket and hands its result to `f` exactly once:
+    /// on the executor that completes the job, or at once on this
+    /// thread if the job has already finished. `f` runs with no lock
+    /// of the service held, so it may take its own.
+    pub fn on_complete(self, f: impl FnOnce(Result<UBig, ServiceError>) + Send + 'static) {
         let mut slot = self
             .state
             .slot
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if let Some(result) = slot.as_ref() {
-                return Some(result.clone());
+        match std::mem::replace(&mut *slot, Slot::Delivered) {
+            Slot::Done(result) => {
+                drop(slot);
+                f(result);
             }
-            let remaining = deadline
-                .checked_duration_since(Instant::now())
-                .filter(|d| !d.is_zero())?;
-            let (guard, timed_out) = self
-                .state
-                .ready
-                .wait_timeout(slot, remaining)
-                .unwrap_or_else(PoisonError::into_inner);
-            slot = guard;
-            if timed_out.timed_out() && slot.is_none() {
-                return None;
-            }
+            // This consumes the only handle, so the slot is pending.
+            _ => *slot = Slot::Callback(Box::new(f)),
         }
     }
 
     /// Returns the result if the job has completed, `None` while it is
     /// still queued or executing.
     pub fn try_poll(&self) -> Option<Result<UBig, ServiceError>> {
-        self.state
+        match &*self
+            .state
             .slot
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .clone()
+        {
+            Slot::Done(result) => Some(result.clone()),
+            _ => None,
+        }
     }
 
     /// `true` once a result (success or failure) is available.
@@ -1309,16 +1322,22 @@ fn execute_batch(
     };
 
     let done = Instant::now();
-    let mut wall = stats.wall_ns.lock().unwrap_or_else(PoisonError::into_inner);
-    let mut cycles = stats.cycles.lock().unwrap_or_else(PoisonError::into_inner);
+    {
+        let mut wall = stats.wall_ns.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut cycles = stats.cycles.lock().unwrap_or_else(PoisonError::into_inner);
+        for (_, submitted) in &meta {
+            wall.push(done.saturating_duration_since(*submitted).as_nanos() as u64);
+            cycles.push(makespan_cycles);
+        }
+    }
+    // Completion runs ticket callbacks, which take their owners' locks:
+    // the reservoir guards above must be gone by now.
     let (mut ok, mut errs) = (0u64, 0u64);
-    for ((ticket, submitted), outcome) in meta.into_iter().zip(outcomes) {
+    for ((ticket, _), outcome) in meta.into_iter().zip(outcomes) {
         match &outcome {
             Ok(_) => ok += 1,
             Err(_) => errs += 1,
         }
-        wall.push(done.saturating_duration_since(submitted).as_nanos() as u64);
-        cycles.push(makespan_cycles);
         ticket.complete(outcome);
     }
     stats.completed.fetch_add(ok, Ordering::Relaxed);
@@ -1526,8 +1545,46 @@ mod tests {
         assert!(ticket.is_done());
     }
 
+    type TicketResult = Result<UBig, ServiceError>;
+
+    /// Counts a callback's calls and forwards each result.
+    fn counting_sink() -> (
+        Arc<AtomicU64>,
+        std::sync::mpsc::Receiver<TicketResult>,
+        impl FnOnce(TicketResult) + Send + 'static,
+    ) {
+        let calls = Arc::new(AtomicU64::new(0));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let counter = Arc::clone(&calls);
+        let sink = move |result| {
+            counter.fetch_add(1, Ordering::SeqCst);
+            let _ = tx.send(result);
+        };
+        (calls, rx, sink)
+    }
+
     #[test]
-    fn wait_timeout_on_time_path_returns_result() {
+    fn on_complete_registered_before_completion_fires_once() {
+        // A hand-built pending ticket: nothing completes it until the
+        // test does, so the callback is registered first for sure.
+        let state = TicketState::new();
+        let ticket = Ticket {
+            state: Arc::clone(&state),
+        };
+        let (calls, rx, sink) = counting_sink();
+        ticket.on_complete(sink);
+        assert_eq!(calls.load(Ordering::SeqCst), 0, "nothing completed yet");
+        assert!(state.complete(Ok(UBig::from(42u64))));
+        assert!(
+            !state.complete(Err(ServiceError::Stopped)),
+            "a second completion is a no-op"
+        );
+        assert_eq!(rx.try_recv(), Ok(Ok(UBig::from(42u64))));
+        assert_eq!(calls.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn on_complete_after_completion_fires_immediately() {
         let service = ModSramService::for_engine_name("direct", tiny_config()).unwrap();
         let ticket = service
             .submit(MulJob::new(
@@ -1536,49 +1593,41 @@ mod tests {
                 UBig::from(97u64),
             ))
             .unwrap();
-        // Generous budget: the job completes well inside it.
-        let got = ticket.wait_timeout(Duration::from_secs(30));
-        assert_eq!(got, Some(Ok(UBig::from(42u64))));
-        // A completed ticket keeps answering instantly, even with a
-        // zero budget or an already-expired deadline.
-        assert_eq!(
-            ticket.wait_timeout(Duration::ZERO),
-            Some(Ok(UBig::from(42u64)))
-        );
-        assert_eq!(
-            ticket.wait_deadline(Instant::now() - Duration::from_secs(1)),
-            Some(Ok(UBig::from(42u64)))
-        );
+        assert_eq!(ticket.wait(), Ok(UBig::from(42u64)));
+        let (calls, rx, sink) = counting_sink();
+        let here = std::thread::current().id();
+        ticket.on_complete(move |result| {
+            assert_eq!(std::thread::current().id(), here);
+            sink(result);
+        });
+        // Ran before on_complete returned, on this thread.
+        assert_eq!(calls.load(Ordering::SeqCst), 1);
+        assert_eq!(rx.try_recv(), Ok(Ok(UBig::from(42u64))));
         service.shutdown();
     }
 
     #[test]
-    fn wait_timeout_expires_on_pending_ticket_then_redeems() {
-        // A hand-built pending ticket: nothing completes it until the
-        // test does, so the timeout path is deterministic.
-        let state = TicketState::new();
-        let ticket = Ticket {
-            state: Arc::clone(&state),
-        };
-        let start = Instant::now();
-        assert_eq!(ticket.wait_timeout(Duration::from_millis(20)), None);
-        assert!(
-            start.elapsed() >= Duration::from_millis(20),
-            "timeout returned early"
+    fn on_complete_receives_stopped_from_the_panic_guard_once() {
+        let service = ModSramService::new(
+            crate::test_util::failing_pool(1, crate::test_util::FailureMode::Panic),
+            tiny_config(),
         );
-        assert_eq!(ticket.wait_deadline(Instant::now()), None);
-        assert!(!ticket.is_done(), "timing out must not consume the ticket");
-        // Late delivery still redeems: the same ticket can be waited on
-        // again after any number of timeouts.
-        let deliverer = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(10));
-            state.complete(Ok(UBig::from(9u64)));
-        });
+        let ticket = service
+            .submit(MulJob::new(
+                UBig::from(5u64),
+                UBig::from(6u64),
+                UBig::from(97u64),
+            ))
+            .unwrap();
+        let (calls, rx, sink) = counting_sink();
+        ticket.on_complete(sink);
         assert_eq!(
-            ticket.wait_timeout(Duration::from_secs(30)),
-            Some(Ok(UBig::from(9u64)))
+            rx.recv_timeout(Duration::from_secs(30)),
+            Ok(Err(ServiceError::Stopped))
         );
-        deliverer.join().unwrap();
+        let stats = service.shutdown();
+        assert!(stats.executor_panics >= 1);
+        assert_eq!(calls.load(Ordering::SeqCst), 1, "delivered exactly once");
     }
 
     #[test]

@@ -10,10 +10,9 @@
 //! the overhead a closed-loop load generator exists to measure.
 
 use std::collections::HashMap;
-use std::io::{BufRead, Write};
+use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::ops::Range;
-use std::time::{Duration, Instant};
 
 use modsram_bigint::UBig;
 use modsram_core::dispatch::MulJob;
@@ -135,10 +134,7 @@ impl WireClient {
     /// Socket failures only — admission refusals arrive as
     /// [`WireResponse::RetryAfter`] for the returned id.
     pub fn submit(&mut self, job: MulJob) -> Result<u64, WireError> {
-        let req_id = self.next_req_id;
-        self.next_req_id += 1;
-        self.send_frame(&Frame::Submit { req_id, job })?;
-        Ok(req_id)
+        Ok(self.submit_batch_refs(std::iter::once(&job))?.start)
     }
 
     /// Submits `jobs` in one frame; returns the id range, in order.
@@ -169,13 +165,6 @@ impl WireClient {
         encode_submit_batch(&mut self.write_buf, first_req_id, jobs);
         self.stream.write_all(&self.write_buf)?;
         Ok(first_req_id..first_req_id + count)
-    }
-
-    fn send_frame(&mut self, frame: &Frame) -> Result<(), WireError> {
-        self.write_buf.clear();
-        frame.encode(&mut self.write_buf);
-        self.stream.write_all(&self.write_buf)?;
-        Ok(())
     }
 
     /// Reads and files exactly one incoming frame (blocking). Any
@@ -234,63 +223,6 @@ impl WireClient {
                 return Err(WireError::ConnectionClosed);
             }
             self.read_one();
-        }
-    }
-
-    /// [`WireClient::wait`] with a deadline; `Ok(None)` on timeout
-    /// (the response may still arrive later).
-    ///
-    /// # Errors
-    ///
-    /// As [`WireClient::wait`].
-    pub fn wait_timeout(
-        &mut self,
-        req_id: u64,
-        timeout: Duration,
-    ) -> Result<Option<WireResponse>, WireError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if let Some(response) = self.responses.remove(&req_id) {
-                return Ok(Some(response));
-            }
-            if self.closed {
-                return Err(WireError::ConnectionClosed);
-            }
-            let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
-                return Ok(None);
-            };
-            // Wait for readable bytes without consuming them, then
-            // read one whole frame in blocking mode (the server writes
-            // frames atomically, so the frame completes promptly once
-            // its first byte is in).
-            self.reader
-                .get_ref()
-                .set_read_timeout(Some(remaining.max(Duration::from_millis(1))))
-                .map_err(WireError::Io)?;
-            let ready = match self.reader.fill_buf() {
-                Ok([]) => {
-                    self.closed = true;
-                    continue;
-                }
-                Ok(_) => true,
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    false
-                }
-                Err(_) => {
-                    self.closed = true;
-                    continue;
-                }
-            };
-            self.reader
-                .get_ref()
-                .set_read_timeout(None)
-                .map_err(WireError::Io)?;
-            if ready {
-                self.read_one();
-            }
         }
     }
 

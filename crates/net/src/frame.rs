@@ -18,10 +18,12 @@ use std::io::{self, Read, Write};
 use modsram_bigint::UBig;
 use modsram_core::dispatch::MulJob;
 
-/// Leading bytes of every frame — "ModSram Wire v1".
+/// Leading bytes of every frame — "ModSram Wire".
 pub const MAGIC: [u8; 4] = *b"MSW1";
-/// Protocol version carried in byte 4 of the header.
-pub const VERSION: u8 = 1;
+/// Protocol version carried in byte 4 of the header. Version 2 dropped
+/// the one-job `Submit` frame (type 0x04); a one-job
+/// [`Frame::SubmitBatch`] carries a single job.
+pub const VERSION: u8 = 2;
 /// Bytes before the payload: magic(4) + version(1) + type(1) +
 /// reserved(2) + payload length(4).
 pub const HEADER_LEN: usize = 12;
@@ -111,11 +113,9 @@ pub enum Frame {
     /// Server → client: authentication refused (then the connection
     /// closes).
     HelloErr { reason: String },
-    /// Client → server: one job under a client-chosen request id.
-    Submit { req_id: u64, job: MulJob },
-    /// Client → server: `jobs.len()` jobs under consecutive ids
-    /// starting at `first_req_id` — one frame instead of N for the
-    /// closed-loop window refill.
+    /// Client → server: `jobs.len()` jobs under consecutive
+    /// client-chosen ids starting at `first_req_id` — one frame for a
+    /// single job or a whole closed-loop window refill.
     SubmitBatch {
         first_req_id: u64,
         jobs: Vec<MulJob>,
@@ -183,7 +183,6 @@ impl Frame {
             Frame::Hello { .. } => 0x01,
             Frame::HelloOk { .. } => 0x02,
             Frame::HelloErr { .. } => 0x03,
-            Frame::Submit { .. } => 0x04,
             Frame::SubmitBatch { .. } => 0x05,
             Frame::Done { .. } => 0x06,
             Frame::JobFailed { .. } => 0x07,
@@ -203,10 +202,6 @@ impl Frame {
             }
             Frame::HelloOk { max_inflight } => put_u32(buf, *max_inflight),
             Frame::HelloErr { reason } => put_str(buf, reason),
-            Frame::Submit { req_id, job } => {
-                put_u64(buf, *req_id);
-                put_job(buf, job);
-            }
             Frame::SubmitBatch { first_req_id, jobs } => {
                 put_u64(buf, *first_req_id);
                 put_u32(buf, jobs.len() as u32);
@@ -251,10 +246,6 @@ impl Frame {
                 max_inflight: r.u32()?,
             },
             0x03 => Frame::HelloErr { reason: r.str()? },
-            0x04 => Frame::Submit {
-                req_id: r.u64()?,
-                job: r.job()?,
-            },
             0x05 => {
                 let first_req_id = r.u64()?;
                 let count = r.u32()? as usize;
@@ -567,9 +558,9 @@ mod tests {
         round_trip(Frame::HelloErr {
             reason: "unknown tenant".into(),
         });
-        round_trip(Frame::Submit {
-            req_id: 7,
-            job: MulJob::new(wide.clone(), UBig::from(3u64), wide.clone()),
+        round_trip(Frame::SubmitBatch {
+            first_req_id: 7,
+            jobs: vec![MulJob::new(wide.clone(), UBig::from(3u64), wide.clone())],
         });
         round_trip(Frame::SubmitBatch {
             first_req_id: u64::MAX - 4,
@@ -634,12 +625,15 @@ mod tests {
             read_frame(&mut &bad[..], DEFAULT_MAX_PAYLOAD),
             Err(WireError::BadVersion(9))
         ));
-        let mut bad = buf.clone();
-        bad[5] = 0x7F;
-        assert!(matches!(
-            read_frame(&mut &bad[..], DEFAULT_MAX_PAYLOAD),
-            Err(WireError::UnknownFrameType(0x7F))
-        ));
+        // 0x04 was the one-job `Submit` of protocol version 1.
+        for frame_type in [0x7F, 0x04] {
+            let mut bad = buf.clone();
+            bad[5] = frame_type;
+            assert!(matches!(
+                read_frame(&mut &bad[..], DEFAULT_MAX_PAYLOAD),
+                Err(WireError::UnknownFrameType(t)) if t == frame_type
+            ));
+        }
         // A frame claiming a payload above the cap is refused before
         // any allocation.
         let mut bad = buf;

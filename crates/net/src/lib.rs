@@ -16,9 +16,12 @@
 //!   limits and in-flight caps, enforced across all of a tenant's
 //!   connections.
 //! * [`server`] — [`WireServer`]: an acceptor plus a per-connection
-//!   reader/completer thread pair bridging
-//!   [`Ticket`](modsram_core::service::Ticket) completions back onto
-//!   the socket through one shared, coalescing writer. Admission control maps `QueueFull` / `Paused` /
+//!   reader/completer thread pair. Each accepted
+//!   [`Ticket`](modsram_core::service::Ticket)'s completion callback
+//!   pushes its result onto a per-connection queue; the completer
+//!   blocks until that queue is non-empty and drains it through one
+//!   shared, coalescing writer, with no time slices and no sweeps.
+//!   Admission control maps `QueueFull` / `Paused` /
 //!   `AllTilesSaturated` / tenant refusals to typed
 //!   [`Frame::RetryAfter`] responses instead of dropped connections;
 //!   [`WireServer::shutdown`] drains gracefully (listener refused,

@@ -1,21 +1,22 @@
 //! The threaded serving runtime: an acceptor thread plus, per
-//! connection, a reader / completer pair that bridges [`Ticket`]
-//! completions back onto the socket.
+//! connection, a reader / completer pair that carries [`Ticket`]
+//! results back onto the socket.
 //!
 //! The division of labour keeps every blocking point bounded:
 //!
 //! * the **reader** parses frames and runs admission control (tenant
 //!   limits first, then the backend's `try_submit`), so a saturated
 //!   cluster answers with a typed [`Frame::RetryAfter`] instead of a
-//!   stalled or dropped connection;
-//! * the **completer** owns the connection's in-flight tickets and
-//!   delivers terminal frames **out of submission order** — it parks
-//!   on the oldest ticket with [`Ticket::wait_deadline`] in short
-//!   slices and sweeps the rest with `try_poll`, so one slow job never
-//!   blocks a finished one behind it.
+//!   stalled or dropped connection. Each accepted ticket gets a
+//!   [`Ticket::on_complete`] callback that pushes its result onto the
+//!   connection's completion queue;
+//! * the **completer** blocks until that queue is non-empty, takes
+//!   everything in it and delivers it as one write — **out of
+//!   submission order**, as the executors finish, with no polling, no
+//!   time slices and no sweeps.
 //!
 //! Both sides write through one [`ConnWriter`] mutex, each call
-//! coalescing its frames into a single `write` — a sweep's burst of
+//! coalescing its frames into a single `write` — a burst of
 //! completions costs one syscall (and one packet on the nodelay
 //! socket), and partial writes never interleave. A peer that stops
 //! reading eventually blocks the writer mid-send; that backpressure
@@ -28,7 +29,6 @@
 //! in-flight ticket, then each connection says [`Frame::Bye`] and
 //! closes. Zero accepted responses are lost.
 
-use std::collections::VecDeque;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -36,8 +36,9 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use modsram_bigint::UBig;
 use modsram_core::cluster::{ClusterHandle, ClusterSubmitError};
-use modsram_core::service::{SubmitError, SubmitHandle, Ticket};
+use modsram_core::service::{ServiceError, SubmitError, SubmitHandle, Ticket};
 
 use crate::frame::{read_frame_into, write_frame, Frame, RetryReason, DEFAULT_MAX_PAYLOAD};
 use crate::stats::{NetMeter, NetStats};
@@ -101,19 +102,6 @@ pub struct WireConfig {
     /// Socket read timeout — the granularity at which idle readers
     /// notice a server drain.
     pub read_timeout: Duration,
-    /// How long the completer parks on the *oldest* in-flight ticket
-    /// before re-sweeping the others for out-of-order completions.
-    pub completion_slice: Duration,
-    /// After the first completion of a burst, how long the completer
-    /// keeps accumulating further completions before flushing them as
-    /// one coalesced write. Engine workers retire a batch's tickets a
-    /// few microseconds apart; without the linger each would go out as
-    /// its own syscall and client wake-up.
-    pub delivery_linger: Duration,
-    /// Flush a coalesced delivery once it holds this many frames even
-    /// if completions are still streaming in (bounds both response
-    /// latency and the write size under sustained load).
-    pub max_delivery_batch: usize,
 }
 
 impl Default for WireConfig {
@@ -122,16 +110,6 @@ impl Default for WireConfig {
             max_frame_bytes: DEFAULT_MAX_PAYLOAD,
             retry_after_hint: Duration::from_millis(1),
             read_timeout: Duration::from_millis(20),
-            // The park almost always ends early (the oldest ticket's
-            // condvar fires on completion, and near-FIFO execution
-            // makes the oldest finish first); the slice only bounds
-            // how long a younger out-of-order completion can sit
-            // before a sweep picks it up.
-            completion_slice: Duration::from_millis(2),
-            delivery_linger: Duration::from_micros(300),
-            // Big enough that a client's whole submission window plus
-            // out-of-order stragglers fits one coalesced write.
-            max_delivery_batch: 128,
         }
     }
 }
@@ -144,25 +122,47 @@ struct ServerShared {
     draining: AtomicBool,
 }
 
-/// One accepted job awaiting its terminal frame.
-struct Pending {
-    req_id: u64,
-    ticket: Ticket,
-    t0: Instant,
-}
+/// One finished job awaiting its terminal frame: request id, admission
+/// time, result.
+type Finished = (u64, Instant, Result<UBig, ServiceError>);
 
+/// The connection's completion queue: ticket callbacks push, the
+/// completer drains.
 struct PendingQueue {
     state: Mutex<PendingState>,
     wake: Condvar,
 }
 
 struct PendingState {
-    queue: VecDeque<Pending>,
-    /// Reader finished (Goodbye, EOF, error) — no more pushes.
-    reads_done: bool,
-    /// Reader has observed the server drain and refuses all further
-    /// submissions — no more pushes, even though reads continue.
-    drain_observed: bool,
+    /// Finished jobs, in completion order.
+    done: Vec<Finished>,
+    /// Accepted jobs whose callback has not pushed yet.
+    inflight: usize,
+    /// The reader admits no more jobs (Goodbye, EOF, error, or an
+    /// observed drain), so only callbacks can push from here on.
+    admissions_closed: bool,
+}
+
+impl PendingQueue {
+    /// A ticket callback's push. Only the empty → non-empty transition
+    /// wakes the completer: it parks only on an empty queue.
+    fn push(&self, finished: Finished) {
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let was_empty = state.done.is_empty();
+        state.done.push(finished);
+        state.inflight = state.inflight.saturating_sub(1);
+        drop(state);
+        if was_empty {
+            self.wake.notify_one();
+        }
+    }
+
+    fn close_admissions(&self) {
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        state.admissions_closed = true;
+        drop(state);
+        self.wake.notify_one();
+    }
 }
 
 /// The connection's shared write half. Reader (refusals, failures)
@@ -371,7 +371,7 @@ fn accept_loop(
 ///
 /// With `bail_on_drain` (the handshake phase, where no completer
 /// exists yet to close the socket) a drain aborts the read instead of
-/// marking `drain_observed`.
+/// closing admissions.
 fn read_frame_patient(
     stream: &mut TcpStream,
     shared: &ServerShared,
@@ -390,9 +390,7 @@ fn read_frame_patient(
                     if bail_on_drain {
                         return Err(crate::frame::WireError::ConnectionClosed);
                     }
-                    let mut state = pending.state.lock().unwrap_or_else(PoisonError::into_inner);
-                    state.drain_observed = true;
-                    pending.wake.notify_all();
+                    pending.close_admissions();
                 }
             }
             Err(e) => return Err(e),
@@ -406,9 +404,9 @@ fn connection_main(mut stream: TcpStream, shared: Arc<ServerShared>) {
 
     let pending = Arc::new(PendingQueue {
         state: Mutex::new(PendingState {
-            queue: VecDeque::new(),
-            reads_done: false,
-            drain_observed: false,
+            done: Vec::new(),
+            inflight: 0,
+            admissions_closed: false,
         }),
         wake: Condvar::new(),
     });
@@ -501,7 +499,7 @@ fn connection_main(mut stream: TcpStream, shared: Arc<ServerShared>) {
 fn reader_loop(
     stream: &mut TcpStream,
     shared: &ServerShared,
-    pending: &PendingQueue,
+    pending: &Arc<PendingQueue>,
     tenant: &Arc<TenantCell>,
     writer: &ConnWriter,
 ) {
@@ -511,9 +509,6 @@ fn reader_loop(
     {
         shared.meter.frame_in(Some(tenant.name()), bytes);
         match frame {
-            Frame::Submit { req_id, job } => {
-                admit_one(shared, pending, tenant, writer, req_id, job);
-            }
             Frame::SubmitBatch { first_req_id, jobs } => {
                 for (i, job) in jobs.into_iter().enumerate() {
                     admit_one(
@@ -532,14 +527,12 @@ fn reader_loop(
             _ => break,
         }
     }
-    let mut state = pending.state.lock().unwrap_or_else(PoisonError::into_inner);
-    state.reads_done = true;
-    pending.wake.notify_all();
+    pending.close_admissions();
 }
 
 fn admit_one(
     shared: &ServerShared,
-    pending: &PendingQueue,
+    pending: &Arc<PendingQueue>,
     tenant: &Arc<TenantCell>,
     writer: &ConnWriter,
     req_id: u64,
@@ -550,10 +543,7 @@ fn admit_one(
     // Drain check first: once observed, this reader never admits
     // again, which is what lets the completer exit safely.
     if shared.draining.load(Ordering::Acquire) {
-        let mut state = pending.state.lock().unwrap_or_else(PoisonError::into_inner);
-        state.drain_observed = true;
-        drop(state);
-        pending.wake.notify_all();
+        pending.close_admissions();
         reject(shared, tenant, writer, req_id, RetryReason::Draining, hint);
         return;
     }
@@ -583,10 +573,15 @@ fn admit_one(
         Ok(()) => match shared.backend.try_submit(job) {
             Admission::Accepted(ticket) => {
                 shared.meter.job_accepted(tenant.name());
-                let mut state = pending.state.lock().unwrap_or_else(PoisonError::into_inner);
-                state.queue.push_back(Pending { req_id, ticket, t0 });
-                drop(state);
-                pending.wake.notify_all();
+                // Counted before the callback exists: it may fire at
+                // once, and its push must find the job in flight.
+                pending
+                    .state
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .inflight += 1;
+                let queue = Arc::clone(pending);
+                ticket.on_complete(move |result| queue.push((req_id, t0, result)));
             }
             Admission::Retry(reason) => {
                 tenant.end_job();
@@ -628,21 +623,6 @@ fn reject(
     );
 }
 
-/// Moves every completed ticket out of `queue` into `batch`, keeping
-/// arrival order among the remainder.
-fn sweep_ready(queue: &mut VecDeque<Pending>, batch: &mut Vec<Pending>) {
-    let mut i = 0;
-    while let Some(p) = queue.get(i) {
-        if p.ticket.is_done() {
-            if let Some(done) = queue.remove(i) {
-                batch.push(done);
-            }
-        } else {
-            i += 1;
-        }
-    }
-}
-
 fn completer_loop(
     shared: Arc<ServerShared>,
     pending: Arc<PendingQueue>,
@@ -650,86 +630,29 @@ fn completer_loop(
     writer: Arc<ConnWriter>,
 ) {
     let mut delivered: u64 = 0;
+    let mut burst: Vec<Finished> = Vec::new();
     let mut frames: Vec<Frame> = Vec::new();
     let mut outcomes = DeliveryOutcomes::default();
     loop {
-        // Sweep: collect everything already complete, out of order.
-        let (mut batch, oldest, quiescent) = {
+        {
             let mut state = pending.state.lock().unwrap_or_else(PoisonError::into_inner);
-            let mut batch = Vec::new();
-            sweep_ready(&mut state.queue, &mut batch);
-            let oldest = if batch.is_empty() {
-                // Park on the oldest remaining ticket outside the
-                // lock; take it out so the sweep above stays O(n).
-                state.queue.pop_front()
-            } else {
-                None
-            };
-            let no_more_pushes = state.reads_done || state.drain_observed;
-            let quiescent = state.queue.is_empty() && oldest.is_none() && no_more_pushes;
-            (batch, oldest, quiescent)
-        };
-        if batch.is_empty() {
-            let Some(front) = oldest else {
-                if quiescent {
-                    break;
-                }
-                // Nothing in flight: sleep until the reader pushes or
-                // ends.
-                let state = pending.state.lock().unwrap_or_else(PoisonError::into_inner);
-                if state.queue.is_empty() && !state.reads_done && !state.drain_observed {
-                    let _ = pending
-                        .wake
-                        .wait_timeout(state, shared.config.read_timeout)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-                continue;
-            };
-            match front
-                .ticket
-                .wait_deadline(Instant::now() + shared.config.completion_slice)
-            {
-                Some(_) => batch.push(front),
-                None => {
-                    // Not done yet: put it back at the front and
-                    // re-sweep (a younger ticket may have finished).
-                    let mut state = pending.state.lock().unwrap_or_else(PoisonError::into_inner);
-                    state.queue.push_front(front);
-                    continue;
-                }
+            while state.done.is_empty() && !(state.admissions_closed && state.inflight == 0) {
+                state = pending
+                    .wake
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner);
             }
-        }
-        // Linger: engine workers retire a batch's tickets microseconds
-        // apart and near-FIFO, so keep parking on the (new) oldest
-        // ticket and folding further completions into this delivery —
-        // one lock per fold, no re-sweep. The first park that times
-        // out ends the burst; a single sweep then catches whatever
-        // completed out of order during the linger.
-        while batch.len() < shared.config.max_delivery_batch {
-            let next = {
-                let mut state = pending.state.lock().unwrap_or_else(PoisonError::into_inner);
-                state.queue.pop_front()
-            };
-            let Some(front) = next else { break };
-            match front
-                .ticket
-                .wait_deadline(Instant::now() + shared.config.delivery_linger)
-            {
-                Some(_) => batch.push(front),
-                None => {
-                    let mut state = pending.state.lock().unwrap_or_else(PoisonError::into_inner);
-                    state.queue.push_front(front);
-                    sweep_ready(&mut state.queue, &mut batch);
-                    break;
-                }
+            if state.done.is_empty() {
+                break;
             }
+            std::mem::swap(&mut state.done, &mut burst);
         }
         // The whole burst goes out as one write, with one metering
         // pass covering all of it.
         frames.clear();
-        for done in batch {
+        for finished in burst.drain(..) {
             delivered += 1;
-            frames.push(resolve_unmetered(&tenant, done, &mut outcomes));
+            frames.push(resolve_unmetered(&tenant, finished, &mut outcomes));
         }
         outcomes.meter(&shared, &tenant);
         writer.send(&shared.meter, Some(tenant.name()), &frames);
@@ -767,40 +690,25 @@ impl DeliveryOutcomes {
     }
 }
 
-/// Redeems one completed ticket without touching the shared meter;
-/// the caller tallies the burst into `outcomes` and meters it once.
+/// Turns one finished job into its terminal frame without touching
+/// the shared meter; the caller tallies the burst into `outcomes` and
+/// meters it once.
 fn resolve_unmetered(
     tenant: &Arc<TenantCell>,
-    done: Pending,
+    (req_id, t0, result): Finished,
     outcomes: &mut DeliveryOutcomes,
 ) -> Frame {
-    // sweep_ready only queues tickets whose is_done() returned true,
-    // so a None here is a ticket-state bug — fail the request instead
-    // of taking the whole connection's completer down with a panic.
-    let Some(result) = done.ticket.try_poll() else {
-        outcomes.failed += 1;
-        tenant.end_job();
-        return Frame::JobFailed {
-            req_id: done.req_id,
-            reason: "internal: ticket incomplete at delivery".into(),
-        };
-    };
-    outcomes
-        .latencies_ns
-        .push(done.t0.elapsed().as_nanos() as u64);
+    outcomes.latencies_ns.push(t0.elapsed().as_nanos() as u64);
     tenant.end_job();
     match result {
         Ok(product) => {
             outcomes.completed += 1;
-            Frame::Done {
-                req_id: done.req_id,
-                product,
-            }
+            Frame::Done { req_id, product }
         }
         Err(err) => {
             outcomes.failed += 1;
             Frame::JobFailed {
-                req_id: done.req_id,
+                req_id,
                 reason: err.to_string(),
             }
         }

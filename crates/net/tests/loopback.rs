@@ -1,16 +1,17 @@
 //! Loopback-socket integration tests: admission edge cases surfaced
 //! at the wire boundary, tenant limits over a real TCP connection,
-//! and the multi-client drain-on-shutdown soak the CI tier-1 step
-//! runs by name.
+//! out-of-order delivery and execution failures, and the multi-client
+//! drain-on-shutdown soak the CI tier-1 step runs by name.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use modsram_bigint::UBig;
-use modsram_core::cluster::{ClusterConfig, ServiceCluster, SpillPolicy};
-use modsram_core::dispatch::MulJob;
-use modsram_core::service::ServiceConfig;
+use modsram_core::cluster::{home_tile_for, ClusterConfig, ServiceCluster, SpillPolicy};
+use modsram_core::dispatch::{ContextPool, MulJob};
+use modsram_core::service::{ModSramService, ServiceConfig};
+use modsram_core::test_util::{failing_pool, slow_pool, FailureMode};
 use modsram_net::{
     NetBackend, RetryReason, TenantLimits, TenantRegistry, WireClient, WireConfig, WireError,
     WireResponse, WireServer,
@@ -415,4 +416,86 @@ fn multi_client_drain_on_shutdown_delivers_every_accepted_response() {
         "every connection fully torn down"
     );
     cluster.shutdown();
+}
+
+/// Delivery follows completion, not submission: a job stuck behind a
+/// slow tile must not hold back a finished one submitted after it, and
+/// a job that fails in execution still gets its terminal frame.
+#[test]
+fn completions_are_delivered_as_they_finish_and_failures_are_answered() {
+    let delay = Duration::from_millis(800);
+    let slow_tile = 0usize;
+    let config = ClusterConfig::default();
+    let cluster = ServiceCluster::from_services(
+        vec![
+            ModSramService::new(slow_pool(delay), config.service.clone()),
+            ModSramService::new(
+                ContextPool::for_engine_name("barrett").unwrap(),
+                config.service.clone(),
+            ),
+        ],
+        &config,
+    );
+    // The first odd moduli homed on each tile.
+    let homed_on = |tile: usize| {
+        (1_000_003u64..)
+            .step_by(2)
+            .find(|&p| home_tile_for(&UBig::from(p), 2) == Some(tile))
+            .unwrap()
+    };
+    let (slow_p, fast_p) = (homed_on(slow_tile), homed_on(1 - slow_tile));
+    let server = WireServer::bind(
+        "127.0.0.1:0",
+        NetBackend::Cluster(cluster.handle()),
+        registry_with("mixed", 5, TenantLimits::default()),
+        WireConfig::default(),
+    )
+    .unwrap();
+    let mut client = WireClient::connect(server.local_addr(), "mixed", 5).unwrap();
+
+    let slow = client.submit(job(6, 7, slow_p)).unwrap();
+    let fast = client.submit(job(8, 9, fast_p)).unwrap();
+    assert_eq!(
+        client.wait(fast).unwrap(),
+        WireResponse::Done(UBig::from(72u64))
+    );
+    // The server meters a burst before writing it, so a burst holding
+    // both responses would already count 2 here.
+    assert_eq!(
+        (client.unclaimed(), server.stats().completed),
+        (0, 1),
+        "the slow response must still be outstanding when the fast one lands"
+    );
+    assert_eq!(
+        client.wait(slow).unwrap(),
+        WireResponse::Done(UBig::from(42u64))
+    );
+    assert_eq!(client.duplicates(), 0);
+    assert_eq!(
+        client.close().unwrap(),
+        Some(2),
+        "Bye counts both accepted ids"
+    );
+    let stats = server.shutdown();
+    assert_eq!((stats.accepted, stats.completed), (2, 2));
+    cluster.shutdown();
+
+    // A tile whose every multiplication errors: the accepted job is
+    // answered with a terminal failure, not dropped.
+    let failing = ModSramService::new(failing_pool(1, FailureMode::Error), config.service);
+    let server = WireServer::bind(
+        "127.0.0.1:0",
+        NetBackend::Tile(failing.handle()),
+        registry_with("doomed", 6, TenantLimits::default()),
+        WireConfig::default(),
+    )
+    .unwrap();
+    let mut client = WireClient::connect(server.local_addr(), "doomed", 6).unwrap();
+    let id = client.submit(job(6, 7, 97)).unwrap();
+    assert!(matches!(client.wait(id).unwrap(), WireResponse::Failed(_)));
+    assert_eq!(client.duplicates(), 0);
+    assert_eq!(client.close().unwrap(), Some(1), "Bye counts the failed id");
+    let stats = server.shutdown();
+    assert_eq!((stats.accepted, stats.failed), (1, 1));
+    failing.shutdown();
 }
