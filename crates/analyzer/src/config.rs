@@ -130,11 +130,16 @@ impl Config {
                     path: "crates/bigint/src/mont256.rs",
                     ban_indexing: false,
                 },
-                // The cycle-accurate device's controller and near-memory
-                // circuit: every device multiply runs them on a
-                // dispatcher worker. Limb words, so indexing stays legal.
+                // The cycle-accurate device's datapath, its sequencer
+                // and near-memory circuit: every device multiply runs
+                // them on a dispatcher worker. Limb words, so indexing
+                // stays legal.
                 HotPathSpec {
                     path: "crates/core/src/controller.rs",
+                    ban_indexing: false,
+                },
+                HotPathSpec {
+                    path: "crates/core/src/isa.rs",
                     ban_indexing: false,
                 },
                 HotPathSpec {

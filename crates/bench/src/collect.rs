@@ -1112,7 +1112,6 @@ pub fn cluster_sweep(spec: &ClusterSweepSpec) -> Vec<ClusterSweepRow> {
                         // modelled occupancy additive (a physical tile
                         // has `workers` lanes, not `workers × depth`).
                         pipeline_depth: 1,
-                        ..Default::default()
                     },
                     poison_after: 3,
                     ..Default::default()
@@ -1251,7 +1250,6 @@ pub fn cluster_spill_probe(offered: u64, policies: &[String]) -> Vec<SpillProbeR
                         max_batch: 1,
                         flush_interval: Duration::ZERO,
                         pipeline_depth: 1,
-                        ..Default::default()
                     },
                     poison_after: 0,
                     ..Default::default()
@@ -1398,7 +1396,6 @@ pub fn elasticity_sweep(spec: &ElasticitySweepSpec) -> Vec<ElasticityPhaseRow> {
         // One batch at a time per tile keeps the modelled occupancy
         // additive (a physical tile has `workers` lanes).
         pipeline_depth: 1,
-        ..Default::default()
     };
     let cluster = ServiceCluster::for_engine_name(
         engine,
@@ -2604,7 +2601,6 @@ fn weighted_fleet_run(
                 max_batch: 256,
                 flush_interval: Duration::from_micros(50),
                 pipeline_depth: 1,
-                ..Default::default()
             },
             poison_after: 3,
             ..Default::default()
@@ -2697,7 +2693,6 @@ fn hot_modulus_run(rounds: usize, burst: u64, replicate_after: u64) -> (u64, f64
                 max_batch: 1,
                 flush_interval: Duration::ZERO,
                 pipeline_depth: 1,
-                ..Default::default()
             },
             poison_after: 0,
             // High enough that the sustained burst can never demote

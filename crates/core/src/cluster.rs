@@ -2150,7 +2150,6 @@ mod tests {
                 max_batch: 1,
                 flush_interval: Duration::ZERO,
                 pipeline_depth: 1,
-                ..Default::default()
             },
             ..Default::default()
         };
@@ -2221,7 +2220,6 @@ mod tests {
                 max_batch: 1,
                 flush_interval: Duration::ZERO,
                 pipeline_depth: 1,
-                ..Default::default()
             },
             ..Default::default()
         };
@@ -2358,7 +2356,6 @@ mod tests {
                 max_batch: 1,
                 flush_interval: Duration::ZERO,
                 pipeline_depth: 1,
-                ..Default::default()
             },
             poison_after: 2,
             probation_after: 2,
@@ -2493,7 +2490,6 @@ mod tests {
                 max_batch: 1,
                 flush_interval: Duration::ZERO,
                 pipeline_depth: 1,
-                ..Default::default()
             },
             poison_after: 0,
             probation_after: 2,

@@ -1,6 +1,8 @@
-//! The controller FSM: micro-op schedule and cycle accounting (§4.3–4.4).
+//! The controller's datapath primitives (§4.3–4.4).
 //!
-//! Schedule for `k` Booth digits:
+//! The FSM's schedule is `Program::r4csa(k)`, which the device
+//! sequencer in `isa` runs for every multiplication; for `k` Booth
+//! digits:
 //!
 //! ```text
 //! cycle 1                : fetch multiplier row → NMC FF
@@ -12,7 +14,7 @@
 //!
 //! The first iteration's two carry write-backs are elided because the
 //! carry word is *structurally* zero until iteration 2's radix-4 phase
-//! (`MAJ(x, 0, 0) = 0`); for the same reason the controller omits
+//! (`MAJ(x, 0, 0) = 0`); for the same reason the schedule omits
 //! known-zero rows from activations, which also means stale sum/carry
 //! wordlines from a previous multiplication are never observed.
 //!
@@ -24,17 +26,17 @@
 //!
 //! # One datapath, checked in lock step
 //!
-//! [`execute`] and the micro-op `isa::Executor` drive the same
-//! limb-level datapath: `ModSram::activate_csa` senses into a reused
-//! `SenseOut` and latches XOR3/MAJ plus the top-bit logic into the NMC
-//! flip-flops; `ModSram::writeback_sum`/`writeback_carry` shift a
-//! latched word into a reused staging word for the write port; and
-//! `ModSram::escape_bits` and [`finish`] read the FFs. The buffers live
-//! in the device ([`Datapath`]), so a run allocates nothing per cycle.
+//! `ModSram::activate_csa` senses into a reused `SenseOut` and latches
+//! XOR3/MAJ plus the top-bit logic into the NMC flip-flops;
+//! `ModSram::writeback_sum`/`writeback_carry` shift a latched word into
+//! a reused staging word for the write port; and `ModSram::escape_bits`
+//! and [`finish`] read the FFs. The buffers live in the device
+//! ([`Datapath`]), so a run allocates nothing per cycle.
 //!
-//! With `verify` on, the run is checked against the laned carry-save
-//! core at one lane (`modsram_modmul::CsaLockstep`), advanced one LUT
-//! phase at a time. Its rows come from the software LUTs, never from
+//! With `verify` on, the sequencer checks the run against the laned
+//! carry-save core at one lane (`modsram_modmul::CsaLockstep`),
+//! advanced one LUT phase at a time, through [`check`] and
+//! [`check_words`]. Its rows come from the software LUTs, never from
 //! the array, so injected faults cannot mask themselves. Every
 //! iteration compares the Booth digit, both overflow FFs, the XOR3 and
 //! MAJ words and carry-out of both phases, and the overflow index; the
@@ -42,7 +44,7 @@
 //! [`CoreError::ModelDivergence`].
 
 use modsram_bigint::UBig;
-use modsram_modmul::{LutRadix4, TimingPolicy};
+use modsram_modmul::TimingPolicy;
 use modsram_sram::{SenseOut, SramStats};
 
 use crate::error::CoreError;
@@ -211,7 +213,7 @@ impl RunStart {
 }
 
 /// `Ok` when the device agrees with the oracle, else the divergence.
-fn check(agrees: bool, iteration: u64, what: &'static str) -> Result<(), CoreError> {
+pub(crate) fn check(agrees: bool, iteration: u64, what: &'static str) -> Result<(), CoreError> {
     if agrees {
         Ok(())
     } else {
@@ -221,7 +223,7 @@ fn check(agrees: bool, iteration: u64, what: &'static str) -> Result<(), CoreErr
 
 /// Compares the latched XOR3 word and the carry word with the oracle's
 /// accumulator after the same phase.
-fn check_words(
+pub(crate) fn check_words(
     dev: &ModSram,
     iteration: u64,
     xor3: &'static str,
@@ -231,206 +233,9 @@ fn check_words(
     check(dev.dp.carry == dev.oracle.carry(), iteration, maj)
 }
 
-/// Executes one in-SRAM modular multiplication of `a` by the loaded
-/// multiplicand, modulo the loaded modulus.
-pub(crate) fn execute(dev: &mut ModSram, a: &UBig) -> Result<(UBig, RunStats), CoreError> {
-    let p = dev.modulus.clone().ok_or(CoreError::NoModulus)?;
-    if dev.multiplicand.is_none() {
-        return Err(CoreError::NoMultiplicand);
-    }
-    let n = dev.config.n_bits;
-    let verify = dev.config.verify;
-    let a_c = a % &p;
-
-    // FF reset lines clear the overflow state left by a previous run.
-    dev.nmc.ov_sum_ff = 0;
-    dev.nmc.ov_carry_ff = 0;
-    dev.nmc.pending_ff = 0;
-    dev.sum_msb = false;
-    dev.carry_msb = false;
-    dev.last_trace.clear();
-
-    // The digit stream (including constant-time padding) comes from the
-    // shared TimingPolicy rule so the controller can never drift from
-    // the oracle it verifies itself against.
-    let digits = dev.config.policy.digits(&a_c, n);
-    let k = digits.len();
-    if verify {
-        dev.oracle.reset();
-    }
-
-    let start = RunStart::of(dev);
-    let mut stats = RunStats::default();
-    let mut cycle: u64 = 0;
-
-    // Operand load: A's wordline (memory traffic, not multiply cycles).
-    dev.array.write_row(MemoryMap::A, a_c.limbs());
-
-    // Cycle 1: fetch the multiplier into the near-memory FF.
-    let fetched = dev.array.read_row(MemoryMap::A);
-    dev.nmc.load_multiplier(&fetched, k);
-    cycle += 1;
-    snapshot(
-        dev,
-        cycle,
-        0,
-        Phase::Fetch,
-        "read A row into multiplier FF",
-        &[MemoryMap::A],
-    );
-
-    let mut carry_written = false;
-    let mut sum_written = false;
-
-    for (i, &want_digit) in (1u64..).zip(&digits) {
-        let digit = dev.nmc.next_digit();
-        check(!verify || digit == want_digit, i, "booth digit")?;
-
-        // ---- Radix-4 phase -------------------------------------------
-        let oracle = verify.then(|| dev.oracle.radix4_phase(digit));
-        if let Some((ov_sum, ov_carry, _)) = oracle {
-            check(dev.nmc.ov_sum_ff == ov_sum, i, "ov_sum FF")?;
-            check(dev.nmc.ov_carry_ff == ov_carry, i, "ov_carry FF")?;
-        }
-        let lut_row = dev.map.lut4_row(LutRadix4::index_of(digit));
-        let csa1_msb_out = dev.activate_csa(lut_row, sum_written, carry_written);
-        cycle += 1;
-        stats.activations += 1;
-        snapshot(
-            dev,
-            cycle,
-            i,
-            Phase::Radix4,
-            "activate LUT-radix4 + sum + carry; sense XOR3/MAJ",
-            &[lut_row],
-        );
-        if let Some((_, _, want_msb)) = oracle {
-            check_words(dev, i, "radix-4 XOR3", "radix-4 MAJ")?;
-            check(csa1_msb_out == want_msb, i, "radix-4 carry-out")?;
-        }
-
-        dev.writeback_sum(0);
-        sum_written = true;
-        cycle += 1;
-        stats.row_writes += 1;
-        snapshot(
-            dev,
-            cycle,
-            i,
-            Phase::Radix4,
-            "write back sum",
-            &[MemoryMap::SUM],
-        );
-
-        if i > 1 {
-            dev.writeback_carry(0);
-            carry_written = true;
-            cycle += 1;
-            stats.row_writes += 1;
-            snapshot(
-                dev,
-                cycle,
-                i,
-                Phase::Radix4,
-                "write back carry (≪1)",
-                &[MemoryMap::CARRY],
-            );
-        }
-
-        // ---- Overflow phase ------------------------------------------
-        let ov_index = dev.nmc.take_overflow_index(csa1_msb_out);
-        let oracle = verify.then(|| dev.oracle.overflow_phase());
-        if let Some((want_index, _)) = oracle {
-            check(ov_index == want_index, i, "overflow index")?;
-        }
-        stats.max_ov_index = stats.max_ov_index.max(ov_index);
-        if MemoryMap::is_spill_weight(ov_index) {
-            stats.ov_spill_touches += 1;
-        }
-
-        let ov_row = dev.map.lutov_row(ov_index);
-        let pending_out = dev.activate_csa(ov_row, sum_written, carry_written);
-        cycle += 1;
-        stats.activations += 1;
-        snapshot(
-            dev,
-            cycle,
-            i,
-            Phase::Overflow,
-            "activate LUT-overflow + sum + carry; sense XOR3/MAJ",
-            &[ov_row],
-        );
-        if let Some((_, want_pending)) = oracle {
-            check_words(dev, i, "overflow XOR3", "overflow MAJ")?;
-            check(pending_out == want_pending, i, "overflow carry-out")?;
-        }
-
-        // Fused shift: pre-shift by two for the next iteration; the last
-        // iteration leaves the true values for the finisher.
-        let shift = if (i as usize) < k { 2 } else { 0 };
-        let (esc_s, esc_c) = dev.escape_bits(shift);
-
-        dev.writeback_sum(shift);
-        cycle += 1;
-        stats.row_writes += 1;
-        dev.nmc.set_ov_sum(esc_s);
-        snapshot(
-            dev,
-            cycle,
-            i,
-            Phase::Overflow,
-            "write back sum (≪2 pre-shift)",
-            &[MemoryMap::SUM],
-        );
-
-        if i > 1 {
-            dev.writeback_carry(shift);
-            carry_written = true;
-            cycle += 1;
-            stats.row_writes += 1;
-            snapshot(
-                dev,
-                cycle,
-                i,
-                Phase::Overflow,
-                "write back carry (≪1, ≪2 pre-shift)",
-                &[MemoryMap::CARRY],
-            );
-        } else {
-            debug_assert!(
-                dev.dp.carry.iter().all(|&w| w == 0),
-                "iteration-1 carry must be zero"
-            );
-        }
-        dev.nmc.set_ov_carry(esc_c);
-        dev.nmc.set_pending(pending_out);
-    }
-
-    // ---- Near-memory finisher (Alg. 3 line 14) -----------------------
-    let (total, subs) = finish(dev, carry_written, &p);
-    if verify {
-        check(total == dev.oracle.finalize(&p), k as u64, "final result")?;
-    }
-
-    stats.cycles = cycle;
-    stats.iterations = k as u64;
-    stats.final_subtractions = subs;
-    start.close(dev, &mut stats);
-    debug_assert_eq!(stats.cycles, 6 * k as u64 - 1, "schedule invariant");
-
-    snapshot(
-        dev,
-        cycle,
-        k as u64,
-        Phase::Finalize,
-        "near-memory add + reduce",
-        &[],
-    );
-    dev.last_run = Some(stats.clone());
-    Ok((total, stats))
-}
-
-fn snapshot(
+/// Records one trace snapshot of the architectural state when tracing
+/// is on.
+pub(crate) fn snapshot(
     dev: &mut ModSram,
     cycle: u64,
     iteration: u64,

@@ -1,36 +1,41 @@
 //! A micro-op ISA for the ModSRAM sequencer.
 //!
 //! The paper's controller is a fixed FSM (§4.3, "FSM for near-memory
-//! ... realized via Verilog"); the crate's private `controller` module
-//! reproduces it cycle-accurately. This module is the programmable-PIM extension the
-//! generic-processing-in-SRAM line of work (Sridharan et al.) points
-//! towards: the same datapath driven by an explicit micro-program.
+//! ... realized via Verilog"). Its schedule is [`Program::r4csa`]`(k)`:
+//! [`ModSram::mod_mul`] compiles it per multiplication and runs it
+//! through the one device sequencer this module holds, the same one
+//! [`Executor`] runs hand-written programs on. This is the
+//! programmable-PIM extension the generic-processing-in-SRAM line of
+//! work (Sridharan et al.) points towards: the datapath driven by an
+//! explicit micro-program.
 //!
 //! * [`MicroOp`] — the nine primitives the datapath supports; each
-//!   charges the same cycle cost the FSM does.
+//!   charges the FSM's cycle cost.
 //! * [`Program`] — a validated sequence with a text assembly format
 //!   ([`Program::parse`] / [`Program::to_text`] round-trip).
 //! * [`Program::r4csa`] — compiles Algorithm 3 for `k` Booth digits
-//!   into exactly the FSM's schedule (`6k − 1` cycles).
-//! * [`Executor`] — interprets a program against a [`ModSram`] device;
-//!   on the generated program it reproduces the FSM run bit for bit
-//!   (result, cycles, register writes — asserted in tests and in
-//!   `tests/accelerator.rs`).
+//!   into the FSM's schedule (`6k − 1` cycles).
+//! * [`Executor`] — runs a program against a [`ModSram`] device.
 //!
-//! Because the ISA is explicit, *mis*-programmed schedules become
-//! expressible — the executor validates structural preconditions (an
-//! activation before any write-back, a finisher before the end) and
-//! returns [`ProgramError`] instead of computing garbage.
+//! With `verify` on, every program, compiled or hand-written, is
+//! checked phase by phase against the lock-step oracle, and with
+//! `trace` on it records one dataflow snapshot per cycle. Because the
+//! ISA is explicit, *mis*-programmed schedules become expressible: the
+//! sequencer validates structural preconditions (an activation before
+//! any write-back, radix-4 and overflow phases alternating, a finisher
+//! at the end) and returns [`ProgramError`] instead of computing
+//! garbage.
 
-use modsram_bigint::UBig;
+use modsram_bigint::{Radix4Digit, UBig};
 use modsram_modmul::LutRadix4;
 use std::fmt;
 
-use crate::controller::{finish, RunStart};
+use crate::controller::{check, check_words, finish, snapshot, RunStart};
 use crate::error::CoreError;
 use crate::memmap::MemoryMap;
 use crate::modsram::ModSram;
 use crate::stats::RunStats;
+use crate::trace::Phase;
 
 /// One datapath micro-operation.
 ///
@@ -128,8 +133,8 @@ pub enum ProgramError {
         /// What went wrong.
         message: String,
     },
-    /// A write-back with nothing latched, a fetch after digits were
-    /// consumed, etc.
+    /// A write-back with nothing latched, radix-4 and overflow phases
+    /// out of turn, an op after `finish`, etc.
     IllegalSequence {
         /// Program counter of the offending op.
         pc: usize,
@@ -190,7 +195,10 @@ impl Program {
     /// Panics if `k` is 0.
     pub fn r4csa(k: usize) -> Self {
         assert!(k > 0, "at least one Booth digit");
-        let mut ops = vec![MicroOp::LoadOperand, MicroOp::FetchMultiplier];
+        // load, fetch, 5 ops in the first iteration, 7 in each further
+        // one, finish.
+        let mut ops = Vec::with_capacity(7 * k + 1);
+        ops.extend([MicroOp::LoadOperand, MicroOp::FetchMultiplier]);
         for i in 1..=k {
             let sum_live = i > 1;
             let carry_live = i > 2;
@@ -255,7 +263,9 @@ impl Program {
                 continue;
             }
             let mut parts = src.split_whitespace();
-            let head = parts.next().expect("non-empty line has a token");
+            let Some(head) = parts.next() else {
+                continue;
+            };
             let rest: Vec<&str> = parts.collect();
             let parse_live = |rest: &[&str]| -> Result<(bool, bool), String> {
                 let mut sum = false;
@@ -322,9 +332,8 @@ impl fmt::Display for Program {
     }
 }
 
-/// Interprets [`Program`]s against a [`ModSram`] device, on the same
-/// datapath (activation, top-bit logic, shifted write-backs, escape
-/// bits, finisher) as the FSM controller.
+/// Runs [`Program`]s against a [`ModSram`] device, through the same
+/// sequencer [`ModSram::mod_mul`] uses.
 ///
 /// # Examples
 ///
@@ -344,13 +353,11 @@ impl fmt::Display for Program {
 /// ```
 #[derive(Debug, Default)]
 pub struct Executor {
-    csa1_msb: u8,
-    pending_out: u8,
     last_program: Option<Program>,
 }
 
 impl Executor {
-    /// A fresh executor with no latched state.
+    /// A fresh executor with no compiled program.
     pub fn new() -> Self {
         Executor::default()
     }
@@ -366,21 +373,15 @@ impl Executor {
     ///
     /// # Errors
     ///
-    /// As [`Executor::run`], plus [`CoreError::NoModulus`] /
-    /// [`CoreError::NoMultiplicand`] when the device is not loaded.
+    /// As [`Executor::run`].
     pub fn run_mod_mul(
         &mut self,
         dev: &mut ModSram,
         a: &UBig,
     ) -> Result<(UBig, RunStats), CoreError> {
-        let p = dev.modulus().ok_or(CoreError::NoModulus)?;
-        let k = dev
-            .config()
-            .policy
-            .digits(&(a % p), dev.config().n_bits)
-            .len();
-        let program = Program::r4csa(k);
-        let result = self.run(dev, &program, a);
+        let (a_c, digits) = multiplier(dev, a)?;
+        let program = Program::r4csa(digits.len());
+        let result = sequence(dev, &program, &a_c, &digits);
         self.last_program = Some(program);
         result
     }
@@ -390,157 +391,224 @@ impl Executor {
     ///
     /// # Errors
     ///
-    /// [`CoreError::Program`] when the op sequence is structurally
-    /// invalid for the datapath; [`CoreError::ModelDivergence`] when
-    /// device verification is on and the program's result disagrees
-    /// with the arithmetic oracle.
+    /// [`CoreError::NoModulus`] / [`CoreError::NoMultiplicand`] when the
+    /// device is not loaded; [`CoreError::Program`] when the op
+    /// sequence is structurally invalid for the datapath;
+    /// [`CoreError::ModelDivergence`] when device verification is on
+    /// and a phase disagrees with the lock-step oracle.
     pub fn run(
         &mut self,
         dev: &mut ModSram,
         program: &Program,
         a: &UBig,
     ) -> Result<(UBig, RunStats), CoreError> {
-        let p = dev.modulus().cloned().ok_or(CoreError::NoModulus)?;
-        let b = dev
-            .multiplicand()
-            .cloned()
-            .ok_or(CoreError::NoMultiplicand)?;
-        let a_c = a % &p;
-        // The digit count (with constant-time padding) from the one
-        // TimingPolicy rule the FSM controller also uses.
-        let k = dev.config().policy.digits(&a_c, dev.config().n_bits).len();
+        let (a_c, digits) = multiplier(dev, a)?;
+        sequence(dev, program, &a_c, &digits)
+    }
+}
 
-        // Reset device + executor latches.
-        dev.nmc.ov_sum_ff = 0;
-        dev.nmc.ov_carry_ff = 0;
-        dev.nmc.pending_ff = 0;
-        dev.sum_msb = false;
-        dev.carry_msb = false;
-        self.csa1_msb = 0;
-        self.pending_out = 0;
+/// `a mod p` and its Booth digit stream, with constant-time padding,
+/// from the one `TimingPolicy` rule the oracle also follows.
+fn multiplier(dev: &ModSram, a: &UBig) -> Result<(UBig, Vec<Radix4Digit>), CoreError> {
+    let p = dev.modulus().ok_or(CoreError::NoModulus)?;
+    let a_c = a % p;
+    let digits = dev.config.policy.digits(&a_c, dev.config.n_bits);
+    Ok((a_c, digits))
+}
 
-        let start = RunStart::of(dev);
-        let mut stats = RunStats::default();
-        let mut cycle: u64 = 0;
-        let mut fetched = false;
-        let mut loaded = false;
-        let mut latched = false;
-        let mut carry_written = false;
-        let mut digits_used = 0usize;
-        let mut finished: Option<UBig> = None;
+/// The device sequencer: runs `program` to multiply the reduced
+/// multiplier `a_c`, whose Booth digits are `digits`, by the loaded
+/// multiplicand.
+///
+/// With `verify` on, each phase is checked against the lock-step
+/// oracle in the FSM's order: the Booth digit and both overflow FFs at
+/// `act.r4`, the overflow index at `act.ov`, the XOR3 and MAJ words and
+/// carry-out after each activation, and the reduced result at `finish`.
+/// With `trace` on, every cycle-charging op and the finisher record a
+/// snapshot; write-backs take their phase from the latest activation.
+/// A successful run sets `last_run` and adds its cycles to
+/// `run_cycles_total`.
+fn sequence(
+    dev: &mut ModSram,
+    program: &Program,
+    a_c: &UBig,
+    digits: &[Radix4Digit],
+) -> Result<(UBig, RunStats), CoreError> {
+    let p = dev.modulus.clone().ok_or(CoreError::NoModulus)?;
+    if dev.multiplicand.is_none() {
+        return Err(CoreError::NoMultiplicand);
+    }
+    let verify = dev.config.verify;
 
-        let illegal = |pc: usize, op: MicroOp, reason: &str| {
+    // FF reset lines clear the overflow state left by a previous run.
+    dev.nmc.ov_sum_ff = 0;
+    dev.nmc.ov_carry_ff = 0;
+    dev.nmc.pending_ff = 0;
+    dev.sum_msb = false;
+    dev.carry_msb = false;
+    dev.last_trace.clear();
+    if verify {
+        dev.oracle.reset();
+    }
+
+    let start = RunStart::of(dev);
+    let mut stats = RunStats::default();
+    let mut cycle: u64 = 0;
+    // Digits consumed so far: the current iteration.
+    let mut i: u64 = 0;
+    let mut loaded = false;
+    let mut fetched = false;
+    let mut phase: Option<Phase> = None;
+    let mut carry_written = false;
+    let mut csa1_msb = 0;
+    let mut pending_out = 0;
+    let mut finished: Option<UBig> = None;
+
+    for (pc, &op) in program.ops().iter().enumerate() {
+        let illegal = |reason: &str| {
             CoreError::Program(ProgramError::IllegalSequence {
                 pc,
                 op: op.to_string(),
                 reason: reason.to_string(),
             })
         };
-
-        for (pc, &op) in program.ops().iter().enumerate() {
-            if finished.is_some() {
-                return Err(illegal(pc, op, "op after finish"));
+        if finished.is_some() {
+            return Err(illegal("op after finish"));
+        }
+        match op {
+            MicroOp::LoadOperand => {
+                dev.array.write_row(MemoryMap::A, a_c.limbs());
+                loaded = true;
             }
-            match op {
-                MicroOp::LoadOperand => {
-                    dev.array.write_row(MemoryMap::A, a_c.limbs());
-                    loaded = true;
+            MicroOp::FetchMultiplier => {
+                if !loaded {
+                    return Err(illegal("fetch before load.a"));
                 }
-                MicroOp::FetchMultiplier => {
-                    if !loaded {
-                        return Err(illegal(pc, op, "fetch before load.a"));
-                    }
-                    let row = dev.array.read_row(MemoryMap::A);
-                    dev.nmc.load_multiplier(&row, k);
-                    fetched = true;
-                    cycle += 1;
+                let row = dev.array.read_row(MemoryMap::A);
+                dev.nmc.load_multiplier(&row, digits.len());
+                fetched = true;
+                cycle += 1;
+                let text = "read A row into multiplier FF";
+                snapshot(dev, cycle, i, Phase::Fetch, text, &[MemoryMap::A]);
+            }
+            MicroOp::ActivateRadix4 { sum, carry } => {
+                if !fetched {
+                    return Err(illegal("activation before fetch"));
                 }
-                MicroOp::ActivateRadix4 { sum, carry } => {
-                    if !fetched {
-                        return Err(illegal(pc, op, "activation before fetch"));
-                    }
-                    if digits_used >= k {
-                        return Err(illegal(pc, op, "multiplier digits exhausted"));
-                    }
-                    let digit = dev.nmc.next_digit();
-                    digits_used += 1;
-                    let row = dev.map.lut4_row(LutRadix4::index_of(digit));
-                    self.csa1_msb = dev.activate_csa(row, sum, carry);
-                    latched = true;
-                    cycle += 1;
-                    stats.activations += 1;
+                if phase == Some(Phase::Radix4) {
+                    return Err(illegal(
+                        "radix-4 phase before the last one's overflow phase",
+                    ));
                 }
-                MicroOp::ActivateOverflow { sum, carry } => {
-                    if !latched {
-                        return Err(illegal(pc, op, "overflow phase before radix-4 phase"));
-                    }
-                    let ov = dev.nmc.take_overflow_index(self.csa1_msb);
-                    stats.max_ov_index = stats.max_ov_index.max(ov);
-                    if MemoryMap::is_spill_weight(ov) {
-                        stats.ov_spill_touches += 1;
-                    }
-                    let row = dev.map.lutov_row(ov);
-                    self.pending_out = dev.activate_csa(row, sum, carry);
-                    cycle += 1;
-                    stats.activations += 1;
+                let Some(&want_digit) = digits.get(i as usize) else {
+                    return Err(illegal("multiplier digits exhausted"));
+                };
+                i += 1;
+                let digit = dev.nmc.next_digit();
+                check(!verify || digit == want_digit, i, "booth digit")?;
+                let oracle = verify.then(|| dev.oracle.radix4_phase(digit));
+                if let Some((ov_sum, ov_carry, _)) = oracle {
+                    check(dev.nmc.ov_sum_ff == ov_sum, i, "ov_sum FF")?;
+                    check(dev.nmc.ov_carry_ff == ov_carry, i, "ov_carry FF")?;
                 }
-                MicroOp::WritebackSum { shift } => {
-                    if !latched {
-                        return Err(illegal(pc, op, "write-back with nothing latched"));
-                    }
-                    dev.writeback_sum(u32::from(shift));
-                    cycle += 1;
+                let row = dev.map.lut4_row(LutRadix4::index_of(digit));
+                csa1_msb = dev.activate_csa(row, sum, carry);
+                phase = Some(Phase::Radix4);
+                cycle += 1;
+                stats.activations += 1;
+                let text = "activate LUT-radix4 + sum + carry; sense XOR3/MAJ";
+                snapshot(dev, cycle, i, Phase::Radix4, text, &[row]);
+                if let Some((_, _, want_msb)) = oracle {
+                    check_words(dev, i, "radix-4 XOR3", "radix-4 MAJ")?;
+                    check(csa1_msb == want_msb, i, "radix-4 carry-out")?;
                 }
-                MicroOp::WritebackCarry { shift } => {
-                    if !latched {
-                        return Err(illegal(pc, op, "write-back with nothing latched"));
-                    }
-                    dev.writeback_carry(u32::from(shift));
-                    carry_written = true;
-                    cycle += 1;
+            }
+            MicroOp::ActivateOverflow { sum, carry } => {
+                if phase != Some(Phase::Radix4) {
+                    return Err(illegal("overflow phase without a radix-4 phase before it"));
                 }
-                MicroOp::LatchOverflowFfs { shift } => {
-                    if !latched {
-                        return Err(illegal(pc, op, "latch with nothing computed"));
-                    }
-                    let (esc_s, esc_c) = dev.escape_bits(u32::from(shift));
-                    dev.nmc.set_ov_sum(esc_s);
-                    dev.nmc.set_ov_carry(esc_c);
-                    dev.nmc.set_pending(self.pending_out);
+                let ov_index = dev.nmc.take_overflow_index(csa1_msb);
+                let oracle = verify.then(|| dev.oracle.overflow_phase());
+                if let Some((want_index, _)) = oracle {
+                    check(ov_index == want_index, i, "overflow index")?;
                 }
-                MicroOp::Finalize => {
-                    if digits_used < k {
-                        return Err(illegal(
-                            pc,
-                            op,
-                            "finish before all multiplier digits were processed",
-                        ));
-                    }
-                    let (total, subs) = finish(dev, carry_written, &p);
-                    stats.final_subtractions = subs;
-                    finished = Some(total);
+                stats.max_ov_index = stats.max_ov_index.max(ov_index);
+                if MemoryMap::is_spill_weight(ov_index) {
+                    stats.ov_spill_touches += 1;
                 }
+                let row = dev.map.lutov_row(ov_index);
+                pending_out = dev.activate_csa(row, sum, carry);
+                phase = Some(Phase::Overflow);
+                cycle += 1;
+                stats.activations += 1;
+                let text = "activate LUT-overflow + sum + carry; sense XOR3/MAJ";
+                snapshot(dev, cycle, i, Phase::Overflow, text, &[row]);
+                if let Some((_, want_pending)) = oracle {
+                    check_words(dev, i, "overflow XOR3", "overflow MAJ")?;
+                    check(pending_out == want_pending, i, "overflow carry-out")?;
+                }
+            }
+            MicroOp::WritebackSum { shift } => {
+                let Some(at) = phase else {
+                    return Err(illegal("write-back with nothing latched"));
+                };
+                dev.writeback_sum(u32::from(shift));
+                cycle += 1;
+                let text = match at {
+                    Phase::Radix4 => "write back sum",
+                    _ => "write back sum (≪2 pre-shift)",
+                };
+                snapshot(dev, cycle, i, at, text, &[MemoryMap::SUM]);
+            }
+            MicroOp::WritebackCarry { shift } => {
+                let Some(at) = phase else {
+                    return Err(illegal("write-back with nothing latched"));
+                };
+                dev.writeback_carry(u32::from(shift));
+                carry_written = true;
+                cycle += 1;
+                let text = match at {
+                    Phase::Radix4 => "write back carry (≪1)",
+                    _ => "write back carry (≪1, ≪2 pre-shift)",
+                };
+                snapshot(dev, cycle, i, at, text, &[MemoryMap::CARRY]);
+            }
+            MicroOp::LatchOverflowFfs { shift } => {
+                if phase.is_none() {
+                    return Err(illegal("latch with nothing computed"));
+                }
+                let (esc_s, esc_c) = dev.escape_bits(u32::from(shift));
+                dev.nmc.set_ov_sum(esc_s);
+                dev.nmc.set_ov_carry(esc_c);
+                dev.nmc.set_pending(pending_out);
+            }
+            MicroOp::Finalize => {
+                if (i as usize) < digits.len() || phase != Some(Phase::Overflow) {
+                    return Err(illegal(
+                        "finish before every multiplier digit's overflow phase",
+                    ));
+                }
+                let (total, subs) = finish(dev, carry_written, &p);
+                check(
+                    !verify || total == dev.oracle.finalize(&p),
+                    i,
+                    "final result",
+                )?;
+                stats.final_subtractions = subs;
+                let text = "near-memory add + reduce";
+                snapshot(dev, cycle, i, Phase::Finalize, text, &[]);
+                finished = Some(total);
             }
         }
-
-        let total = finished.ok_or(CoreError::Program(ProgramError::MissingFinalize))?;
-
-        if dev.config().verify {
-            let want = (&a_c * &b) % &p;
-            if total != want {
-                return Err(CoreError::ModelDivergence {
-                    iteration: digits_used as u64,
-                    what: "program result vs arithmetic oracle",
-                });
-            }
-        }
-
-        stats.cycles = cycle;
-        stats.iterations = digits_used as u64;
-        start.close(dev, &mut stats);
-        dev.last_run = Some(stats.clone());
-        Ok((total, stats))
     }
+
+    let total = finished.ok_or(CoreError::Program(ProgramError::MissingFinalize))?;
+    stats.cycles = cycle;
+    stats.iterations = i;
+    start.close(dev, &mut stats);
+    dev.run_cycles_total += stats.cycles;
+    dev.last_run = Some(stats.clone());
+    Ok((total, stats))
 }
 
 #[cfg(test)]
@@ -632,6 +700,49 @@ mod tests {
             err,
             CoreError::Program(ProgramError::IllegalSequence { pc: 2, .. })
         ));
+
+        // Mis-ordered variants of the compiled schedule: `act.ov` twice,
+        // `act.r4` twice with no overflow phase between, and `wb.sum <<0`
+        // where the fused `<<2` is due. Verified, each is refused;
+        // unverified, none panics.
+        let a = UBig::from(55u64);
+        let mut exec = Executor::new();
+        exec.run_mod_mul(&mut dev, &a)
+            .expect("compiled schedule runs");
+        let ops = exec.last_program().expect("compiled").ops().to_vec();
+        let ov = ops
+            .iter()
+            .position(|op| matches!(op, MicroOp::ActivateOverflow { .. }))
+            .expect("overflow phase");
+        let mut ov_twice = ops.clone();
+        ov_twice.insert(ov, ops[ov]);
+        // Iteration 1's overflow phase is `act.ov`, `wb.sum <<2`, `latch.ff`.
+        let mut r4_twice = ops.clone();
+        r4_twice.drain(ov..ov + 3);
+        let mut unshifted = ops;
+        unshifted[ov + 1] = MicroOp::WritebackSum { shift: 0 };
+        for verify in [true, false] {
+            let mut dev = ModSram::new(ModSramConfig {
+                n_bits: 7,
+                verify,
+                ..Default::default()
+            })
+            .expect("device");
+            dev.load_modulus(&UBig::from(97u64)).expect("modulus");
+            dev.load_multiplicand(&UBig::from(44u64)).expect("load");
+            for ops in [&ov_twice, &r4_twice, &unshifted] {
+                let program = Program::new(ops.clone());
+                let outcome = Executor::new().run(&mut dev, &program, &a);
+                assert!(
+                    !verify
+                        || matches!(
+                            outcome,
+                            Err(CoreError::ModelDivergence { .. } | CoreError::Program(_))
+                        ),
+                    "{program:?}: {outcome:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -12,12 +12,16 @@
 //!   combinational logic, the three full-width flip-flops (multiplier,
 //!   sum, carry) plus small overflow FFs, and the shift-by-1/2 write-back
 //!   paths. Counts its register writes (Figure 7's metric).
-//! * `controller` — the FSM micro-op schedule. One multiplier fetch,
-//!   then six cycles per radix-4 digit (two LUT phases, each
-//!   activate-and-sense / write-back sum / write-back carry), with the
-//!   two provably-zero carry write-backs of the first iteration elided:
-//!   `1 + 4 + 6·(k−1) = 6k − 1` cycles — **767** at 256 bits, the
-//!   paper's Table 3 headline.
+//! * [`isa`] — the FSM's schedule as a micro-program,
+//!   [`Program::r4csa`]`(k)`, and the one device sequencer that runs it
+//!   for every multiplication (and runs hand-written programs through
+//!   [`Executor`]). One multiplier fetch, then six cycles per radix-4
+//!   digit (two LUT phases, each activate-and-sense / write-back sum /
+//!   write-back carry), with the two provably-zero carry write-backs of
+//!   the first iteration elided: `1 + 4 + 6·(k−1) = 6k − 1` cycles —
+//!   **767** at 256 bits, the paper's Table 3 headline. The datapath
+//!   primitives it drives (activation, shifted write-backs, finisher)
+//!   live in the private `controller` module.
 //! * [`ModSram`] — the top-level device: owns the array, runs
 //!   precomputation (LUT fill, reused across calls while `B`/`p` are
 //!   unchanged — the paper's data-reuse claim), executes multiplications,

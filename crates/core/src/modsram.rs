@@ -9,8 +9,9 @@ use modsram_modmul::{
 };
 use modsram_sram::{CellKind, FaultConfig, SramArray, SramConfig};
 
-use crate::controller::{self, Datapath};
+use crate::controller::Datapath;
 use crate::error::CoreError;
+use crate::isa::Executor;
 use crate::memmap::MemoryMap;
 use crate::nmc::Nmc;
 use crate::stats::{PrecomputeStats, RunStats};
@@ -253,22 +254,20 @@ impl ModSram {
     }
 
     /// Multiplies `a` by the *loaded* multiplicand modulo the loaded
-    /// modulus, cycle-accurately. Returns the canonical product and the
+    /// modulus, cycle-accurately: compiles the FSM's schedule,
+    /// [`Program::r4csa`](crate::Program::r4csa), for `a`'s Booth digits
+    /// and runs it on the device. Returns the canonical product and the
     /// run statistics (767 cycles at 256 bits with an MSB-clear
     /// multiplier — Table 3).
     ///
     /// # Errors
     ///
     /// [`CoreError::NoModulus`] if [`ModSram::load_modulus`] has not run;
-    /// [`CoreError::NoModulus`] (via multiplicand check) if no
-    /// multiplicand is loaded; [`CoreError::ModelDivergence`] when
-    /// verification is on and fault injection corrupted the computation.
+    /// [`CoreError::NoMultiplicand`] if no multiplicand is loaded;
+    /// [`CoreError::ModelDivergence`] when verification is on and fault
+    /// injection corrupted the computation.
     pub fn mod_mul_loaded(&mut self, a: &UBig) -> Result<(UBig, RunStats), CoreError> {
-        let outcome = controller::execute(self, a);
-        if let Ok((_, stats)) = &outcome {
-            self.run_cycles_total += stats.cycles;
-        }
-        outcome
+        Executor::new().run_mod_mul(self, a)
     }
 
     /// Convenience: (re)loads `b` if needed, then multiplies. This is the

@@ -71,7 +71,7 @@ use modsram_modmul::{ModMulError, PreparedModMul};
 
 use crate::autotune::{AutotuneStats, TunePolicy};
 use crate::cluster::{ClusterHandle, ServiceCluster};
-use crate::dispatch::{ContextPool, Dispatcher, MulJob, StealPolicy};
+use crate::dispatch::{ContextPool, Dispatcher, MulJob};
 use crate::error::CoreError;
 use crate::modsram::ModSramConfig;
 
@@ -96,11 +96,6 @@ pub struct ServiceConfig {
     /// flushing a short batch. `Duration::ZERO` flushes immediately
     /// with whatever the queue held.
     pub flush_interval: Duration,
-    /// Optional dispatcher chunk-size override (defaults to the
-    /// dispatcher's automatic sizing).
-    pub chunk_size: Option<usize>,
-    /// Steal policy for batch execution.
-    pub policy: StealPolicy,
     /// Executor threads pipelining coalesced batches: while one batch
     /// executes, the next is already being sorted and planned. `1`
     /// serialises batches (deterministic batch order; lowest thread
@@ -116,8 +111,6 @@ impl Default for ServiceConfig {
             queue_capacity: 1024,
             max_batch: 512,
             flush_interval: Duration::from_micros(100),
-            chunk_size: None,
-            policy: StealPolicy::WorkStealing,
             pipeline_depth: 2,
         }
     }
@@ -1225,10 +1218,7 @@ fn executor_loop(
     config: ServiceConfig,
     exec_queue: Arc<ExecQueue>,
 ) {
-    let mut dispatcher = Dispatcher::new(config.workers).policy(config.policy);
-    if let Some(chunk) = config.chunk_size {
-        dispatcher = dispatcher.chunk_size(chunk);
-    }
+    let dispatcher = Dispatcher::new(config.workers);
     while let Some(batch) = exec_queue.pop() {
         let tickets: Vec<Arc<TicketState>> = batch.iter().map(|q| Arc::clone(&q.ticket)).collect();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

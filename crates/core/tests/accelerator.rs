@@ -1,7 +1,7 @@
 //! Integration tests for the cycle-accurate ModSRAM device.
 
 use modsram_bigint::{ubig_below, UBig};
-use modsram_core::{CoreError, MemoryMap, ModSram, ModSramConfig};
+use modsram_core::{CoreError, Executor, MemoryMap, ModSram, ModSramConfig, Phase};
 use modsram_modmul::{CycleModel, ModMulEngine, TimingPolicy};
 use modsram_sram::{CellKind, StuckAt};
 use rand::rngs::SmallRng;
@@ -521,33 +521,47 @@ fn isa_constant_time_policy_pads_to_767() {
 
 /// Outcome of one run of the `fault_injection` example's device (n = 32):
 /// the divergence it reports, if any, and the 6T disturb flips counted.
+/// The configuration runs twice, through `ModSram::mod_mul` and through
+/// `Executor::run_mod_mul` on a fresh device, and both must agree.
 fn fault_run(
     cell: CellKind,
     disturb: f64,
     sigma: f64,
     seed: u64,
 ) -> (Option<(u64, &'static str)>, u64) {
-    let mut config = ModSramConfig {
-        n_bits: 32,
-        cell,
-        ..Default::default()
-    };
-    config.fault.disturb_per_cell = disturb;
-    config.fault.sa_offset_sigma = sigma;
-    config.fault.seed = seed;
-    let mut dev = ModSram::new(config).unwrap();
-    dev.load_modulus(&UBig::from(0xffff_fffb_u64)).unwrap();
+    let p = UBig::from(0xffff_fffb_u64);
     let a = UBig::from(0x1234_5678u64);
     let b = UBig::from(0x0abc_def0u64);
-    let divergence = match dev.mod_mul(&a, &b) {
-        Ok((c, _)) => {
-            assert_eq!(c, &(&a * &b) % &UBig::from(0xffff_fffb_u64));
-            None
-        }
-        Err(CoreError::ModelDivergence { iteration, what }) => Some((iteration, what)),
-        Err(other) => panic!("unexpected error {other:?}"),
+    let run = |isa: bool| {
+        let mut config = ModSramConfig {
+            n_bits: 32,
+            cell,
+            ..Default::default()
+        };
+        config.fault.disturb_per_cell = disturb;
+        config.fault.sa_offset_sigma = sigma;
+        config.fault.seed = seed;
+        let mut dev = ModSram::new(config).unwrap();
+        dev.load_modulus(&p).unwrap();
+        let outcome = if isa {
+            dev.load_multiplicand(&b).unwrap();
+            Executor::new().run_mod_mul(&mut dev, &a)
+        } else {
+            dev.mod_mul(&a, &b)
+        };
+        let divergence = match outcome {
+            Ok((c, _)) => {
+                assert_eq!(c, &(&a * &b) % &p);
+                None
+            }
+            Err(CoreError::ModelDivergence { iteration, what }) => Some((iteration, what)),
+            Err(other) => panic!("unexpected error {other:?}"),
+        };
+        (divergence, dev.array().stats().disturb_flips)
     };
-    (divergence, dev.array().stats().disturb_flips)
+    let fsm = run(false);
+    assert_eq!(run(true), fsm, "Executor::run_mod_mul vs ModSram::mod_mul");
+    fsm
 }
 
 #[test]
@@ -650,4 +664,85 @@ fn device_multiply_allocates_nothing_per_cycle() {
         "{used} allocations for one multiply of {} digits",
         stats.iterations
     );
+
+    // The same bound holds for a multiply through the ISA executor.
+    let mut exec = Executor::new();
+    let before = allocations();
+    let (c, stats) = exec.run_mod_mul(&mut dev, &a).unwrap();
+    let used = allocations() - before;
+    assert_eq!(c, &(&a * &b) % &p);
+    println!("{used} allocations over {} cycles (executor)", stats.cycles);
+    assert!(
+        used < 32,
+        "{used} allocations for one executor multiply of {} digits",
+        stats.iterations
+    );
+}
+
+#[test]
+fn executor_runs_record_their_trace_and_cycles() {
+    // A traced device runs `mod_mul`, then the executor on a multiplier
+    // with one Booth digit fewer: the executor's run leaves its own
+    // trace and adds its cycles to the device's running total.
+    let p = UBig::from(0xfff1u64);
+    let mut dev = ModSram::new(ModSramConfig {
+        n_bits: 16,
+        trace: true,
+        ..Default::default()
+    })
+    .unwrap();
+    dev.load_modulus(&p).unwrap();
+    let b = UBig::from(0x5678u64);
+    let (_, fsm) = dev.mod_mul(&UBig::from(0x8001u64), &b).unwrap();
+    assert_eq!(dev.last_trace.len() as u64, fsm.cycles + 1);
+
+    let a = UBig::from(0x1234u64);
+    let (c, isa) = Executor::new().run_mod_mul(&mut dev, &a).unwrap();
+    assert_eq!(c, &(&a * &b) % &p);
+    assert_ne!(isa.cycles, fsm.cycles, "the runs must be told apart");
+    assert_eq!(dev.last_trace.len() as u64, isa.cycles + 1);
+    let last = dev.last_trace.last().unwrap();
+    assert_eq!((last.cycle, last.phase), (isa.cycles, Phase::Finalize));
+    assert_eq!(dev.last_run.as_ref(), Some(&isa));
+    assert_eq!(dev.run_cycles_total, fsm.cycles + isa.cycles);
+}
+
+#[test]
+fn figure3_trace_is_pinned() {
+    // The Figure 3 configuration, rendered at width 6. The overflow
+    // FFs load together at `latch.ff`, after the overflow phase's last
+    // write-back.
+    const FIGURE3: [&str; 18] = [
+        "cyc    1 it   0 fetch    sum:000000 carry:000000 ov:(0,0,0)  read A row into multiplier FF",
+        "cyc    2 it   1 radix4   sum:000000 carry:000000 ov:(0,0,0)  activate LUT-radix4 + sum + carry; sense XOR3/MAJ",
+        "cyc    3 it   1 radix4   sum:010010 carry:000000 ov:(0,0,0)  write back sum",
+        "cyc    4 it   1 overflow sum:010010 carry:000000 ov:(0,0,0)  activate LUT-overflow + sum + carry; sense XOR3/MAJ",
+        "cyc    5 it   1 overflow sum:001000 carry:000000 ov:(0,0,0)  write back sum (≪2 pre-shift)",
+        "cyc    6 it   2 radix4   sum:001000 carry:000000 ov:(1,0,0)  activate LUT-radix4 + sum + carry; sense XOR3/MAJ",
+        "cyc    7 it   2 radix4   sum:011010 carry:000000 ov:(1,0,0)  write back sum",
+        "cyc    8 it   2 radix4   sum:011010 carry:000000 ov:(1,0,0)  write back carry (≪1)",
+        "cyc    9 it   2 overflow sum:011010 carry:000000 ov:(0,0,0)  activate LUT-overflow + sum + carry; sense XOR3/MAJ",
+        "cyc   10 it   2 overflow sum:101000 carry:000000 ov:(0,0,0)  write back sum (≪2 pre-shift)",
+        "cyc   11 it   2 overflow sum:101000 carry:000000 ov:(0,0,0)  write back carry (≪1, ≪2 pre-shift)",
+        "cyc   12 it   3 radix4   sum:101000 carry:000000 ov:(0,2,0)  activate LUT-radix4 + sum + carry; sense XOR3/MAJ",
+        "cyc   13 it   3 radix4   sum:111010 carry:000000 ov:(0,2,0)  write back sum",
+        "cyc   14 it   3 radix4   sum:111010 carry:000000 ov:(0,2,0)  write back carry (≪1)",
+        "cyc   15 it   3 overflow sum:111010 carry:000000 ov:(0,0,0)  activate LUT-overflow + sum + carry; sense XOR3/MAJ",
+        "cyc   16 it   3 overflow sum:110010 carry:000000 ov:(0,0,0)  write back sum (≪2 pre-shift)",
+        "cyc   17 it   3 overflow sum:110010 carry:010000 ov:(0,0,0)  write back carry (≪1, ≪2 pre-shift)",
+        "cyc   17 it   3 finalize sum:110010 carry:010000 ov:(0,0,0)  near-memory add + reduce",
+    ];
+    let mut dev = ModSram::new(ModSramConfig {
+        n_bits: 5,
+        trace: true,
+        ..Default::default()
+    })
+    .unwrap();
+    dev.load_modulus(&UBig::from(0b11000u64)).unwrap();
+    let (c, _) = dev
+        .mod_mul(&UBig::from(0b10101u64), &UBig::from(0b10010u64))
+        .unwrap();
+    assert_eq!(c, UBig::from(18u64));
+    let rendered: Vec<String> = dev.last_trace.iter().map(|s| s.render(6)).collect();
+    assert_eq!(rendered, FIGURE3);
 }

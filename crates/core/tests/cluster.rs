@@ -51,7 +51,6 @@ fn tiny_tile_config() -> ServiceConfig {
         max_batch: 2,
         flush_interval: Duration::ZERO,
         pipeline_depth: 1,
-        ..Default::default()
     }
 }
 
@@ -173,7 +172,6 @@ fn backpressure_spills_to_least_loaded_tile_and_strict_saturates() {
         max_batch: 1,
         flush_interval: Duration::ZERO,
         pipeline_depth: 1,
-        ..Default::default()
     };
     let config = ClusterConfig {
         spill: SpillPolicy::Spill { max_hops: 1 },

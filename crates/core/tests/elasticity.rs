@@ -30,7 +30,6 @@ fn quick_config() -> ClusterConfig {
             max_batch: 8,
             flush_interval: Duration::ZERO,
             pipeline_depth: 1,
-            ..Default::default()
         },
         probation_after: 2,
         ..Default::default()
@@ -384,7 +383,6 @@ fn blocked_submit_rideses_out_a_drain_of_its_home() {
             max_batch: 1,
             flush_interval: Duration::ZERO,
             pipeline_depth: 1,
-            ..Default::default()
         },
         probation_after: 2,
         ..Default::default()

@@ -135,7 +135,6 @@ fn backpressure_try_submit_reports_queue_full() {
             max_batch: 1,
             flush_interval: Duration::ZERO,
             pipeline_depth: 1,
-            ..Default::default()
         },
     );
     let p = UBig::from(97u64);
@@ -220,7 +219,6 @@ fn executor_panic_fails_tickets_instead_of_hanging() {
             max_batch: 4,
             flush_interval: Duration::ZERO,
             pipeline_depth: 1,
-            ..Default::default()
         },
     );
     let p = UBig::from(97u64);

@@ -1,8 +1,8 @@
 //! The ModSRAM controller FSM at gate level.
 //!
 //! §4.3 implements "FSM for near-memory" control in Verilog; the
-//! behavioural twin lives in `modsram-core`'s controller with its
-//! `6k − 1`-cycle schedule. This module builds the same state machine
+//! behavioural twin is `modsram-core`'s `Program::r4csa(k)`, the
+//! `6k − 1`-cycle micro-program its device sequencer runs. This module builds the same state machine
 //! as a one-hot [`SeqCircuit`] so the *control path* — not just the
 //! datapath blocks of [`crate::circuits`] — exists as synthesizable
 //! logic, and proves cycle-for-cycle equivalence with the behavioural

@@ -1,6 +1,7 @@
-//! Drive the ModSRAM datapath with an explicit micro-program instead of
-//! the fixed FSM: disassemble the generated R4CSA-LUT schedule, edit it
-//! as text, and run it through the [`Executor`].
+//! Drive the ModSRAM datapath with an explicit micro-program: the FSM's
+//! schedule is `Program::r4csa(k)`, the program `ModSram::mod_mul` runs.
+//! Disassemble it, round-trip it as text, and run it through the
+//! [`Executor`] on the same sequencer.
 //!
 //! ```sh
 //! cargo run --example microcode
