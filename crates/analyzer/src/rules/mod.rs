@@ -2,7 +2,7 @@
 //! helpers they share (test-region masking, balanced-group skipping).
 //!
 //! Every rule has the same shape — walk the token stream of one file
-//! (or, for `drift`, the whole workspace), emit [`Finding`]s, and let
+//! (or, for `drift`, the whole workspace), emit [`Finding`](crate::findings::Finding)s, and let
 //! the caller run them through the allow machinery. All rules are
 //! intraprocedural and lexical by design: they see exactly what a
 //! reviewer sees, which is also what keeps them fast enough for a

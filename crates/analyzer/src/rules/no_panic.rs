@@ -1,6 +1,7 @@
 //! Rule `no_panic`: designated hot-path modules must not contain
 //! panicking constructs — `.unwrap()` / `.expect(…)` (and their `_err`
-//! twins), the panic-family macros, and (where the spec says so)
+//! twins), the panic-family macros (`assert!`, `assert_eq!` and
+//! `assert_ne!` included), and (where the spec says so)
 //! slice/array indexing. A panic on these paths unwinds a dispatch
 //! worker, an executor, or a connection thread, losing every job that
 //! thread was carrying.
@@ -20,8 +21,18 @@ pub const RULE: &str = "no_panic";
 /// Panicking method calls: flagged when called as `.name(`.
 const PANIC_METHODS: &[&str] = &["unwrap", "expect", "unwrap_err", "expect_err"];
 
-/// Panic-family macros: flagged as `name!`.
-const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
+/// Panic-family macros: flagged as `name!`. The release-mode asserts
+/// are among them; `debug_assert*` is compiled out of release builds
+/// and stays exempt.
+const PANIC_MACROS: &[&str] = &[
+    "panic",
+    "unreachable",
+    "todo",
+    "unimplemented",
+    "assert",
+    "assert_eq",
+    "assert_ne",
+];
 
 pub fn check(
     file: &str,
@@ -151,6 +162,20 @@ mod tests {
     fn panic_macros_are_caught() {
         let bad = "fn f() { if a { panic!(\"x\") } else { unreachable!() } }";
         assert_eq!(run(bad, false).len(), 2);
+    }
+
+    #[test]
+    fn release_asserts_are_caught_and_debug_asserts_are_not() {
+        let bad = "fn f(a: u32, b: u32) {\n    assert!(a > 0);\n    assert_eq!(a, b, \"x\");\n    assert_ne!(a, 3);\n}";
+        let found = run(bad, false);
+        assert_eq!(found.len(), 3);
+        assert_eq!(
+            found.iter().map(|f| f.line).collect::<Vec<_>>(),
+            vec![2, 3, 4]
+        );
+        assert!(found[1].message.contains("assert_eq!"));
+        let debug = "fn f(a: u32, b: u32) { debug_assert!(a > 0); debug_assert_eq!(a, b); debug_assert_ne!(a, b); }";
+        assert!(run(debug, false).is_empty());
     }
 
     #[test]

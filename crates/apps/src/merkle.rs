@@ -4,7 +4,7 @@
 //! motivating user of secp256k1) authenticates transactions against a
 //! block header through a Merkle root, and ZKP systems commit to
 //! witness vectors the same way. Built on the workspace's own
-//! [`crate::sha256`].
+//! [`mod@crate::sha256`].
 //!
 //! Leaves and interior nodes are domain-separated (`0x00` / `0x01`
 //! prefixes), which blocks the classic second-preimage trick of

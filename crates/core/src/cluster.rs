@@ -1313,6 +1313,7 @@ impl ServiceCluster {
     ///
     /// Panics if `services` is empty.
     pub fn from_services(services: Vec<ModSramService>, config: &ClusterConfig) -> Self {
+        // analyzer: allow(no_panic, constructor precondition documented under `# Panics`; checked once when the cluster is built, never per job)
         assert!(!services.is_empty(), "a cluster needs at least one tile");
         let tiles: Vec<Arc<TileCell>> = services
             .into_iter()
@@ -1451,7 +1452,7 @@ impl ServiceCluster {
     /// owning its lifecycle: both sides submit through the same
     /// admissions gate, so a live [`ServiceCluster::drain_tile`] is
     /// observed by the out-of-band holder as
-    /// [`SubmitError`](crate::service::SubmitError)`::Paused`.
+    /// [`SubmitError::Paused`].
     pub fn tile_service(&self, tile: usize) -> Option<Arc<ModSramService>> {
         self.shared
             .snapshot()

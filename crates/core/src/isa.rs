@@ -194,6 +194,7 @@ impl Program {
     ///
     /// Panics if `k` is 0.
     pub fn r4csa(k: usize) -> Self {
+        // analyzer: allow(no_panic, precondition documented under `# Panics`; `run_mod_mul` passes the Booth digit count of an n_bits-wide multiplier, at least one for any valid device width)
         assert!(k > 0, "at least one Booth digit");
         // load, fetch, 5 ops in the first iteration, 7 in each further
         // one, finish.

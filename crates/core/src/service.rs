@@ -715,7 +715,7 @@ pub struct ServiceStats {
     /// [`ModSramService::health`] probes taken, from every caller:
     /// routing consults health per submission, probation per check,
     /// and statistics snapshots (including
-    /// [`ServiceCluster`](crate::cluster::ServiceCluster)`::stats`)
+    /// [`ServiceCluster::stats`])
     /// once per tile — so on an idle cluster this climbs with the
     /// monitoring cadence, not with traffic.
     pub health_probes: u64,
@@ -756,7 +756,7 @@ pub struct ServiceStats {
 }
 
 /// A point-in-time capacity/liveness probe of one service tile — the
-/// seam a [`ServiceCluster`](crate::cluster::ServiceCluster) routes on.
+/// seam a [`ServiceCluster`] routes on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TileHealth {
     /// Jobs currently queued (not yet drained into a batch).
@@ -850,10 +850,15 @@ impl ModSramService {
         pool: Arc<ContextPool>,
         config: ServiceConfig,
     ) -> Result<Self, CoreError> {
-        assert!(config.workers > 0, "need at least one worker");
-        assert!(config.queue_capacity > 0, "queue capacity must be positive");
-        assert!(config.max_batch > 0, "max batch must be positive");
-        assert!(config.pipeline_depth > 0, "need at least one executor");
+        for (size, what) in [
+            (config.workers, "need at least one worker"),
+            (config.queue_capacity, "queue capacity must be positive"),
+            (config.max_batch, "max batch must be positive"),
+            (config.pipeline_depth, "need at least one executor"),
+        ] {
+            // analyzer: allow(no_panic, constructor preconditions documented under `# Panics`; a zero size is a caller bug, checked once at startup, never per job)
+            assert!(size > 0, "{what}");
+        }
         let shared = Arc::new(Shared {
             inner: Mutex::new(QueueInner {
                 jobs: VecDeque::new(),
@@ -1073,7 +1078,7 @@ impl ModSramService {
     /// submission is refused with [`SubmitError::Paused`], while the
     /// queue keeps draining and every already-accepted ticket still
     /// completes. This is the drain seam a
-    /// [`ServiceCluster`](crate::cluster::ServiceCluster) uses: pause,
+    /// [`ServiceCluster`] uses: pause,
     /// wait for [`ModSramService::quiesced`], and the tile is empty
     /// without ever being shut down — so it can
     /// [`resume_admissions`](ModSramService::resume_admissions) after a

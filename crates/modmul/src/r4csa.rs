@@ -227,7 +227,9 @@ impl R4CsaStepper {
             });
         }
         let width = n.max(1) + 1;
+        // analyzer: allow(no_panic, the overflow LUT comes from the same prepared context as p and n, so a mismatch is a construction bug that would otherwise yield wrong products)
         assert_eq!(lutov.modulus(), p, "overflow LUT modulus mismatch");
+        // analyzer: allow(no_panic, the overflow LUT comes from the same prepared context as p and n, so a mismatch is a construction bug that would otherwise yield wrong products)
         assert_eq!(lutov.width(), width, "overflow LUT window mismatch");
         Ok(R4CsaStepper {
             state: CsaState::new(width),

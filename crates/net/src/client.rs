@@ -8,6 +8,16 @@
 //! shows up. No reader thread, no cross-thread handoff — on a busy
 //! host that saves a context switch per response, which is exactly
 //! the overhead a closed-loop load generator exists to measure.
+//!
+//! Writes are **corked**. A submit only appends its jobs to one open
+//! `SubmitBatch` frame; request ids are consecutive, so every submit
+//! between two sends lands in the same frame. The frame goes out in
+//! one `write` when [`WireClient::wait`] is about to block on the
+//! socket (responses already buffered are filed first, with no
+//! syscall), on [`WireClient::flush`], on [`WireClient::close`], or
+//! once it reaches 64 KiB. A closed loop that refills its
+//! window between reads thus pays one frame header, one syscall and
+//! one server wake-up per refill instead of per job.
 
 use std::collections::HashMap;
 use std::io::Write;
@@ -18,9 +28,14 @@ use modsram_bigint::UBig;
 use modsram_core::dispatch::MulJob;
 
 use crate::frame::{
-    encode_submit_batch, read_frame, read_frame_into, write_frame, Frame, RetryReason, WireError,
-    DEFAULT_MAX_PAYLOAD,
+    open_submit_batch, put_submit_job, seal_submit_batch, write_frame, Frame, FrameReader,
+    RetryReason, WireError, DEFAULT_MAX_PAYLOAD,
 };
+
+/// Corked bytes at which a submit sends the open frame itself — far
+/// below the server's [`DEFAULT_MAX_PAYLOAD`], and large enough that a
+/// closed-loop window refill never reaches it.
+const CORK_BYTES: usize = 64 << 10;
 
 /// A terminal response for one request id.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,11 +57,10 @@ pub enum WireResponse {
 
 /// A connected, authenticated client.
 pub struct WireClient {
-    /// Buffered read half (a burst of coalesced response frames costs
-    /// one syscall).
-    reader: std::io::BufReader<TcpStream>,
-    /// Write half.
     stream: TcpStream,
+    /// Buffered frame reassembly for the read side (a burst of
+    /// coalesced response frames costs one syscall).
+    reader: FrameReader,
     /// Responses read while waiting for a different id.
     responses: HashMap<u64, WireResponse>,
     /// Duplicate terminal responses observed per id (protocol
@@ -58,10 +72,10 @@ pub struct WireClient {
     server_completed: Option<u64>,
     next_req_id: u64,
     max_inflight: u32,
-    /// Reused frame-encode buffer for the submit path.
+    /// Corked output: the open `SubmitBatch` frame (its jobs are the
+    /// `corked` ids just below `next_req_id`), reused across sends.
     write_buf: Vec<u8>,
-    /// Reused payload buffer for the read path.
-    read_buf: Vec<u8>,
+    corked: u32,
 }
 
 impl std::fmt::Debug for WireClient {
@@ -69,6 +83,7 @@ impl std::fmt::Debug for WireClient {
         f.debug_struct("WireClient")
             .field("next_req_id", &self.next_req_id)
             .field("max_inflight", &self.max_inflight)
+            .field("corked", &self.corked)
             .field("unclaimed", &self.unclaimed())
             .field("closed", &self.closed())
             .finish()
@@ -96,7 +111,8 @@ impl WireClient {
                 key,
             },
         )?;
-        let max_inflight = match read_frame(&mut stream, DEFAULT_MAX_PAYLOAD)? {
+        let mut reader = FrameReader::new(DEFAULT_MAX_PAYLOAD);
+        let max_inflight = match reader.read_frame(&mut &stream)? {
             Some((Frame::HelloOk { max_inflight }, _)) => max_inflight,
             Some((Frame::HelloErr { reason }, _)) => return Err(WireError::AuthRefused(reason)),
             Some((other, _)) => {
@@ -106,10 +122,9 @@ impl WireClient {
             }
             None => return Err(WireError::ConnectionClosed),
         };
-        let read_half = stream.try_clone().map_err(WireError::Io)?;
         Ok(WireClient {
-            reader: std::io::BufReader::new(read_half),
             stream,
+            reader,
             responses: HashMap::new(),
             duplicates: 0,
             closed: false,
@@ -117,7 +132,7 @@ impl WireClient {
             next_req_id: 1,
             max_inflight,
             write_buf: Vec::new(),
-            read_buf: Vec::new(),
+            corked: 0,
         })
     }
 
@@ -127,17 +142,20 @@ impl WireClient {
         self.max_inflight
     }
 
-    /// Submits one job; returns its request id.
+    /// Submits one job; returns its request id. The job is corked:
+    /// it reaches the server with the next send (see the module docs).
     ///
     /// # Errors
     ///
-    /// Socket failures only — admission refusals arrive as
-    /// [`WireResponse::RetryAfter`] for the returned id.
+    /// Socket failures of a send the cork bound triggers — admission
+    /// refusals arrive as [`WireResponse::RetryAfter`] for the
+    /// returned id.
     pub fn submit(&mut self, job: MulJob) -> Result<u64, WireError> {
         Ok(self.submit_batch_refs(std::iter::once(&job))?.start)
     }
 
-    /// Submits `jobs` in one frame; returns the id range, in order.
+    /// Submits `jobs` under consecutive ids; returns the id range, in
+    /// order. Corked like [`WireClient::submit`].
     ///
     /// # Errors
     ///
@@ -159,12 +177,46 @@ impl WireClient {
         jobs: impl ExactSizeIterator<Item = &'a MulJob>,
     ) -> Result<Range<u64>, WireError> {
         let first_req_id = self.next_req_id;
-        let count = jobs.len() as u64;
-        self.next_req_id += count;
+        for job in jobs {
+            if self.corked == 0 {
+                self.write_buf.clear();
+                open_submit_batch(&mut self.write_buf, self.next_req_id);
+            }
+            put_submit_job(&mut self.write_buf, job);
+            self.corked += 1;
+            self.next_req_id += 1;
+            if self.write_buf.len() >= CORK_BYTES {
+                self.flush()?;
+            }
+        }
+        Ok(first_req_id..self.next_req_id)
+    }
+
+    /// Sends the corked jobs now, in one frame and one `write`. A
+    /// no-op when nothing is corked.
+    ///
+    /// # Errors
+    ///
+    /// Socket failures. The corked jobs are dropped either way: they
+    /// never reach the server, and waiting on their ids reports
+    /// [`WireError::ConnectionClosed`] once the socket ends.
+    pub fn flush(&mut self) -> Result<(), WireError> {
+        self.seal();
+        if self.write_buf.is_empty() {
+            return Ok(());
+        }
+        let sent = self.stream.write_all(&self.write_buf);
         self.write_buf.clear();
-        encode_submit_batch(&mut self.write_buf, first_req_id, jobs);
-        self.stream.write_all(&self.write_buf)?;
-        Ok(first_req_id..first_req_id + count)
+        sent.map_err(WireError::Io)
+    }
+
+    /// Closes the open frame, leaving it in `write_buf` for the next
+    /// `write`.
+    fn seal(&mut self) {
+        if self.corked > 0 {
+            seal_submit_batch(&mut self.write_buf, 0, self.corked);
+            self.corked = 0;
+        }
     }
 
     /// Reads and files exactly one incoming frame (blocking). Any
@@ -172,7 +224,7 @@ impl WireClient {
     /// caller reports [`WireError::ConnectionClosed`] for unresolved
     /// ids, matching how a vanished server actually presents.
     fn read_one(&mut self) {
-        match read_frame_into(&mut self.reader, DEFAULT_MAX_PAYLOAD, &mut self.read_buf) {
+        match self.reader.read_frame(&mut &self.stream) {
             Ok(Some((frame, _bytes))) => match frame {
                 Frame::Done { req_id, product } => {
                     self.file_response(req_id, WireResponse::Done(product));
@@ -208,12 +260,13 @@ impl WireClient {
 
     /// Blocks until `req_id`'s terminal response arrives and removes
     /// it from the response map. Frames for other ids read along the
-    /// way are filed and stay claimable.
+    /// way are filed and stay claimable. Corked jobs are sent before
+    /// any socket read that could block.
     ///
     /// # Errors
     ///
     /// [`WireError::ConnectionClosed`] if the connection ended without
-    /// a response for this id.
+    /// a response for this id; socket failures of the send.
     pub fn wait(&mut self, req_id: u64) -> Result<WireResponse, WireError> {
         loop {
             if let Some(response) = self.responses.remove(&req_id) {
@@ -221,6 +274,9 @@ impl WireClient {
             }
             if self.closed {
                 return Err(WireError::ConnectionClosed);
+            }
+            if !self.reader.has_frame() {
+                self.flush()?;
             }
             self.read_one();
         }
@@ -242,10 +298,10 @@ impl WireClient {
         self.closed
     }
 
-    /// Says `Goodbye`, reads until the server's `Bye` (in-flight
-    /// responses land in the map on the way), and returns the server's
-    /// delivered-responses count, `None` if the socket dropped before
-    /// the `Bye` arrived.
+    /// Sends the corked jobs and a `Goodbye` in one `write`, reads
+    /// until the server's `Bye` (in-flight responses land in the map on
+    /// the way), and returns the server's delivered-responses count,
+    /// `None` if the socket dropped before the `Bye` arrived.
     ///
     /// Responses already in the map remain claimable via
     /// [`WireClient::wait`]… but the connection is gone, so `wait` on
@@ -256,7 +312,9 @@ impl WireClient {
     ///
     /// Socket failures while sending the `Goodbye`.
     pub fn close(mut self) -> Result<Option<u64>, WireError> {
-        write_frame(&mut self.stream, &Frame::Goodbye)?;
+        self.seal();
+        Frame::Goodbye.encode(&mut self.write_buf);
+        self.flush()?;
         while !self.closed {
             self.read_one();
         }
@@ -267,7 +325,8 @@ impl WireClient {
 impl Drop for WireClient {
     fn drop(&mut self) {
         // The server sees EOF and cleans the connection up on its
-        // side.
+        // side. Corked jobs are dropped unsent: nobody is left to wait
+        // on them.
         let _ = self.stream.shutdown(std::net::Shutdown::Both);
     }
 }

@@ -168,12 +168,35 @@ pub fn encode_submit_batch<'a>(
     first_req_id: u64,
     jobs: impl ExactSizeIterator<Item = &'a MulJob>,
 ) {
+    let count = jobs.len() as u32;
+    let start = open_submit_batch(buf, first_req_id);
+    for job in jobs {
+        put_submit_job(buf, job);
+    }
+    seal_submit_batch(buf, start, count);
+}
+
+/// Opens a `SubmitBatch` frame at the end of `buf` with no jobs yet
+/// and returns its start offset. Append jobs with [`put_submit_job`]
+/// and close the frame with [`seal_submit_batch`]; the result is
+/// byte-identical to [`encode_submit_batch`] over the same jobs.
+pub fn open_submit_batch(buf: &mut Vec<u8>, first_req_id: u64) -> usize {
     let start = begin_frame(buf, 0x05);
     put_u64(buf, first_req_id);
-    put_u32(buf, jobs.len() as u32);
-    for job in jobs {
-        put_job(buf, job);
-    }
+    put_u32(buf, 0); // job count, patched by seal_submit_batch
+    start
+}
+
+/// Appends one job to the `SubmitBatch` frame opened last in `buf`.
+pub fn put_submit_job(buf: &mut Vec<u8>, job: &MulJob) {
+    put_job(buf, job);
+}
+
+/// Patches the job count and payload length of the `SubmitBatch`
+/// frame opened at `start`, which must be the last frame in `buf`.
+pub fn seal_submit_batch(buf: &mut [u8], start: usize, count: u32) {
+    let at = start + HEADER_LEN + 8;
+    buf[at..at + 4].copy_from_slice(&count.to_le_bytes());
     end_frame(buf, start);
 }
 
@@ -352,85 +375,135 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<usize, WireError
     Ok(buf.len())
 }
 
-/// Reads one frame from `r`.
+/// Bytes a [`FrameReader`] makes room for per `read` when no header
+/// asks for more.
+const READ_CHUNK: usize = 16 << 10;
+
+/// Reassembles frames from a byte stream: each `read` takes whatever
+/// has arrived (up to 16 KiB, or the rest of a larger frame), so a
+/// burst of small frames costs one syscall.
 ///
-/// Returns `Ok(None)` on a clean EOF **between** frames (the peer hung
-/// up at a frame boundary); EOF inside a frame is
-/// [`WireError::Truncated`]. The second tuple slot reports the bytes
-/// consumed, for metering.
-pub fn read_frame(
-    r: &mut impl Read,
+/// A failed read loses nothing. Bytes of a frame that is only partly
+/// in — because the socket's read timeout fired between two segments,
+/// say — stay buffered, and the next [`FrameReader::read_frame`]
+/// resumes where the last one stopped. The header is checked before
+/// the buffer grows to the declared payload, so an oversized frame is
+/// refused before it is allocated.
+#[derive(Debug)]
+pub struct FrameReader {
+    /// Received bytes live in `buf[start..end]`, a frame boundary at
+    /// `start`.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
     max_payload: u32,
-) -> Result<Option<(Frame, usize)>, WireError> {
-    let mut payload = Vec::new();
-    read_frame_into(r, max_payload, &mut payload)
 }
 
-/// [`read_frame`] with a caller-owned payload buffer: a hot read loop
-/// allocates once for its lifetime instead of once per frame.
-pub fn read_frame_into(
-    r: &mut impl Read,
-    max_payload: u32,
-    payload: &mut Vec<u8>,
-) -> Result<Option<(Frame, usize)>, WireError> {
-    let mut header = [0u8; HEADER_LEN];
-    match read_exact_or_eof(r, &mut header)? {
-        ReadOutcome::Eof => return Ok(None),
-        ReadOutcome::Full => {}
-    }
-    if header[0..4] != MAGIC {
-        return Err(WireError::BadMagic([
-            header[0], header[1], header[2], header[3],
-        ]));
-    }
-    if header[4] != VERSION {
-        return Err(WireError::BadVersion(header[4]));
-    }
-    let frame_type = header[5];
-    let payload_len = u32::from_le_bytes([header[8], header[9], header[10], header[11]]);
-    if payload_len > max_payload {
-        return Err(WireError::FrameTooLarge {
-            len: payload_len,
-            max: max_payload,
-        });
-    }
-    payload.clear();
-    payload.resize(payload_len as usize, 0);
-    r.read_exact(payload).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            WireError::Truncated
-        } else {
-            WireError::Io(e)
+impl FrameReader {
+    /// An empty reader refusing payloads above `max_payload`.
+    pub fn new(max_payload: u32) -> Self {
+        FrameReader {
+            buf: Vec::new(),
+            start: 0,
+            end: 0,
+            max_payload,
         }
-    })?;
-    let frame = Frame::decode(frame_type, payload)?;
-    Ok(Some((frame, HEADER_LEN + payload_len as usize)))
-}
+    }
 
-enum ReadOutcome {
-    Full,
-    Eof,
-}
+    /// The whole length of the frame at `start`, once its header is
+    /// buffered and checked; a payload above the cap is refused here,
+    /// before anything is allocated for it.
+    fn head_len(&self) -> Result<Option<usize>, WireError> {
+        if self.end - self.start < HEADER_LEN {
+            return Ok(None);
+        }
+        let header = &self.buf[self.start..self.start + HEADER_LEN];
+        if header[0..4] != MAGIC {
+            return Err(WireError::BadMagic([
+                header[0], header[1], header[2], header[3],
+            ]));
+        }
+        if header[4] != VERSION {
+            return Err(WireError::BadVersion(header[4]));
+        }
+        let payload_len = u32::from_le_bytes([header[8], header[9], header[10], header[11]]);
+        if payload_len > self.max_payload {
+            return Err(WireError::FrameTooLarge {
+                len: payload_len,
+                max: self.max_payload,
+            });
+        }
+        Ok(Some(HEADER_LEN + payload_len as usize))
+    }
 
-/// `read_exact` that distinguishes "EOF before the first byte" (clean
-/// close) from "EOF mid-buffer" (truncation).
-fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> Result<ReadOutcome, WireError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return if filled == 0 {
-                    Ok(ReadOutcome::Eof)
+    /// `true` when the next [`FrameReader::read_frame`] returns
+    /// without touching the stream: a whole frame (or a header it
+    /// will refuse) is already buffered.
+    pub fn has_frame(&self) -> bool {
+        match self.head_len() {
+            Ok(Some(len)) => self.end - self.start >= len,
+            Ok(None) => false,
+            Err(_) => true,
+        }
+    }
+
+    /// Returns the next frame, reading from `r` only while no whole
+    /// frame is buffered.
+    ///
+    /// `Ok(None)` is a clean EOF between frames; EOF inside a frame is
+    /// [`WireError::Truncated`]. A read error (a timeout included)
+    /// keeps the partial frame for the next call. The second tuple
+    /// slot reports the frame's bytes, for metering.
+    pub fn read_frame(&mut self, r: &mut impl Read) -> Result<Option<(Frame, usize)>, WireError> {
+        loop {
+            let need = match self.head_len()? {
+                Some(len) if self.end - self.start >= len => {
+                    let frame_start = self.start;
+                    self.start += len;
+                    if self.start == self.end {
+                        (self.start, self.end) = (0, 0);
+                    }
+                    let frame_type = self.buf[frame_start + 5];
+                    let payload = &self.buf[frame_start + HEADER_LEN..frame_start + len];
+                    return Ok(Some((Frame::decode(frame_type, payload)?, len)));
+                }
+                Some(len) => len,
+                None => HEADER_LEN,
+            };
+            if !self.fill(r, need)? {
+                return if self.start == self.end {
+                    Ok(None)
                 } else {
                     Err(WireError::Truncated)
                 };
             }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(WireError::Io(e)),
         }
     }
-    Ok(ReadOutcome::Full)
+
+    /// One `read` into the buffer, first making room for `need` bytes
+    /// from `start`; `Ok(false)` at EOF.
+    fn fill(&mut self, r: &mut impl Read, need: usize) -> Result<bool, WireError> {
+        if self.start + need > self.buf.len() && self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+        let room = (self.start + need).max(READ_CHUNK);
+        if self.buf.len() < room {
+            self.buf.resize(room, 0);
+        }
+        loop {
+            match r.read(&mut self.buf[self.end..]) {
+                Ok(0) => return Ok(false),
+                Ok(n) => {
+                    self.end += n;
+                    return Ok(true);
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(WireError::Io(e)),
+            }
+        }
+    }
 }
 
 // ---- primitive writers ----------------------------------------------------
@@ -531,14 +604,23 @@ impl<'a> Cursor<'a> {
 mod tests {
     use super::*;
 
+    /// The first frame of `bytes`, through a fresh reader.
+    fn read_frame(bytes: &[u8]) -> Result<Option<(Frame, usize)>, WireError> {
+        FrameReader::new(DEFAULT_MAX_PAYLOAD).read_frame(&mut &bytes[..])
+    }
+
     fn round_trip(frame: Frame) {
         let mut buf = Vec::new();
         frame.encode(&mut buf);
         let mut r = &buf[..];
-        let (got, consumed) = read_frame(&mut r, DEFAULT_MAX_PAYLOAD).unwrap().unwrap();
+        let mut reader = FrameReader::new(DEFAULT_MAX_PAYLOAD);
+        let (got, consumed) = reader.read_frame(&mut r).unwrap().unwrap();
         assert_eq!(got, frame);
         assert_eq!(consumed, buf.len());
-        assert!(r.is_empty(), "reader consumed the exact frame");
+        assert!(
+            reader.read_frame(&mut r).unwrap().is_none(),
+            "the frame was all of the stream"
+        );
     }
 
     fn job(a: u64, b: u64, p: u64) -> MulJob {
@@ -602,11 +684,14 @@ mod tests {
         Frame::Goodbye.encode(&mut buf);
         Frame::Bye { completed: 2 }.encode(&mut buf);
         let mut r = &buf[..];
-        let (first, _) = read_frame(&mut r, DEFAULT_MAX_PAYLOAD).unwrap().unwrap();
-        let (second, _) = read_frame(&mut r, DEFAULT_MAX_PAYLOAD).unwrap().unwrap();
+        let mut reader = FrameReader::new(DEFAULT_MAX_PAYLOAD);
+        let (first, _) = reader.read_frame(&mut r).unwrap().unwrap();
+        assert!(reader.has_frame(), "one read took both frames");
+        let (second, _) = reader.read_frame(&mut r).unwrap().unwrap();
         assert_eq!(first, Frame::Goodbye);
         assert_eq!(second, Frame::Bye { completed: 2 });
-        assert!(read_frame(&mut r, DEFAULT_MAX_PAYLOAD).unwrap().is_none());
+        assert!(!reader.has_frame());
+        assert!(reader.read_frame(&mut r).unwrap().is_none());
     }
 
     #[test]
@@ -615,22 +700,16 @@ mod tests {
         Frame::Goodbye.encode(&mut buf);
         let mut bad = buf.clone();
         bad[0] = b'X';
-        assert!(matches!(
-            read_frame(&mut &bad[..], DEFAULT_MAX_PAYLOAD),
-            Err(WireError::BadMagic(_))
-        ));
+        assert!(matches!(read_frame(&bad), Err(WireError::BadMagic(_))));
         let mut bad = buf.clone();
         bad[4] = 9;
-        assert!(matches!(
-            read_frame(&mut &bad[..], DEFAULT_MAX_PAYLOAD),
-            Err(WireError::BadVersion(9))
-        ));
+        assert!(matches!(read_frame(&bad), Err(WireError::BadVersion(9))));
         // 0x04 was the one-job `Submit` of protocol version 1.
         for frame_type in [0x7F, 0x04] {
             let mut bad = buf.clone();
             bad[5] = frame_type;
             assert!(matches!(
-                read_frame(&mut &bad[..], DEFAULT_MAX_PAYLOAD),
+                read_frame(&bad),
                 Err(WireError::UnknownFrameType(t)) if t == frame_type
             ));
         }
@@ -638,19 +717,21 @@ mod tests {
         // any allocation.
         let mut bad = buf;
         bad[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+        let mut reader = FrameReader::new(DEFAULT_MAX_PAYLOAD);
         assert!(matches!(
-            read_frame(&mut &bad[..], DEFAULT_MAX_PAYLOAD),
+            reader.read_frame(&mut &bad[..]),
             Err(WireError::FrameTooLarge { .. })
         ));
+        assert!(reader.buf.len() <= READ_CHUNK);
         // Truncation mid-header and mid-payload are both typed.
         let mut buf = Vec::new();
         Frame::Bye { completed: 5 }.encode(&mut buf);
         assert!(matches!(
-            read_frame(&mut &buf[..HEADER_LEN - 3], DEFAULT_MAX_PAYLOAD),
+            read_frame(&buf[..HEADER_LEN - 3]),
             Err(WireError::Truncated)
         ));
         assert!(matches!(
-            read_frame(&mut &buf[..HEADER_LEN + 2], DEFAULT_MAX_PAYLOAD),
+            read_frame(&buf[..HEADER_LEN + 2]),
             Err(WireError::Truncated)
         ));
     }
@@ -663,9 +744,82 @@ mod tests {
         buf.push(0xAA);
         let len = (buf.len() - HEADER_LEN) as u32;
         buf[8..12].copy_from_slice(&len.to_le_bytes());
-        assert!(matches!(
-            read_frame(&mut &buf[..], DEFAULT_MAX_PAYLOAD),
-            Err(WireError::Malformed(_))
-        ));
+        assert!(matches!(read_frame(&buf), Err(WireError::Malformed(_))));
+    }
+
+    #[test]
+    fn job_by_job_frames_match_encode_submit_batch() {
+        let jobs = [job(1, 2, 97), job(5, 6, 1_000_003), job(0, 0, 3)];
+        for n in [0, 1, jobs.len()] {
+            let mut whole = vec![0xEE]; // frames need not start at offset 0
+            encode_submit_batch(&mut whole, 40, jobs[..n].iter());
+            let mut built = vec![0xEE];
+            let start = open_submit_batch(&mut built, 40);
+            for j in &jobs[..n] {
+                put_submit_job(&mut built, j);
+            }
+            seal_submit_batch(&mut built, start, n as u32);
+            assert_eq!(built, whole, "{n} jobs");
+        }
+    }
+
+    /// Yields its chunks one `read` at a time, failing with a timeout
+    /// between any two.
+    struct Stutter(Vec<Vec<u8>>, bool);
+
+    impl Read for Stutter {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            self.1 = !self.1;
+            if self.1 {
+                return Err(io::ErrorKind::TimedOut.into());
+            }
+            if self.0.is_empty() {
+                return Ok(0);
+            }
+            let chunk = self.0.remove(0);
+            out[..chunk.len()].copy_from_slice(&chunk);
+            Ok(chunk.len())
+        }
+    }
+
+    #[test]
+    fn frame_reader_keeps_partial_frames_across_failed_reads() {
+        let frames = [
+            Frame::SubmitBatch {
+                first_req_id: 3,
+                jobs: vec![job(6, 7, 97), job(8, 9, 101)],
+            },
+            Frame::Goodbye,
+        ];
+        let mut bytes = Vec::new();
+        for frame in &frames {
+            frame.encode(&mut bytes);
+        }
+        // Split inside the header, inside the payload, and across the
+        // frame boundary.
+        let cuts = [5, 20, bytes.len() - 4, bytes.len()];
+        let mut from = 0;
+        let chunks = cuts
+            .iter()
+            .map(|&to| {
+                let chunk = bytes[from..to].to_vec();
+                from = to;
+                chunk
+            })
+            .collect();
+        let mut r = Stutter(chunks, false);
+        let mut reader = FrameReader::new(DEFAULT_MAX_PAYLOAD);
+        let mut got = Vec::new();
+        loop {
+            match reader.read_frame(&mut r) {
+                Ok(Some((frame, _))) => got.push(frame),
+                Ok(None) => break,
+                Err(WireError::Io(e)) if e.kind() == io::ErrorKind::TimedOut => {
+                    assert!(!reader.has_frame());
+                }
+                Err(e) => panic!("unexpected {e}"),
+            }
+        }
+        assert_eq!(got, frames);
     }
 }

@@ -31,7 +31,10 @@
 //! * [`client`] — [`WireClient`]: the blocking single-threaded client
 //!   the closed-loop load generator (`bin/wire`) and the loopback
 //!   tests drive; the waiter reads the socket itself and files
-//!   out-of-order completions locally.
+//!   out-of-order completions locally. Submits are corked into one
+//!   open `SubmitBatch` frame, sent in one `write` just before `wait`
+//!   would block on the socket, on `flush`, on `close`, or at a 64 KiB
+//!   bound.
 //!
 //! # Example: serve a cluster over loopback
 //!

@@ -4,7 +4,9 @@
 //!
 //! The division of labour keeps every blocking point bounded:
 //!
-//! * the **reader** parses frames and runs admission control (tenant
+//! * the **reader** reassembles frames in a [`FrameReader`] (a frame
+//!   split across a read timeout stays buffered, never dropped) and
+//!   runs admission control (tenant
 //!   limits first, then the backend's `try_submit`), so a saturated
 //!   cluster answers with a typed [`Frame::RetryAfter`] instead of a
 //!   stalled or dropped connection. Each accepted ticket gets a
@@ -15,7 +17,7 @@
 //!   submission order**, as the executors finish, with no polling, no
 //!   time slices and no sweeps.
 //!
-//! Both sides write through one [`ConnWriter`] mutex, each call
+//! Both sides write through one `ConnWriter` mutex, each call
 //! coalescing its frames into a single `write` — a burst of
 //! completions costs one syscall (and one packet on the nodelay
 //! socket), and partial writes never interleave. A peer that stops
@@ -40,7 +42,7 @@ use modsram_bigint::UBig;
 use modsram_core::cluster::{ClusterHandle, ClusterSubmitError};
 use modsram_core::service::{ServiceError, SubmitError, SubmitHandle, Ticket};
 
-use crate::frame::{read_frame_into, write_frame, Frame, RetryReason, DEFAULT_MAX_PAYLOAD};
+use crate::frame::{write_frame, Frame, FrameReader, RetryReason, WireError, DEFAULT_MAX_PAYLOAD};
 use crate::stats::{NetMeter, NetStats};
 use crate::tenant::{TenantCell, TenantRefusal, TenantRegistry};
 
@@ -367,28 +369,29 @@ fn accept_loop(
 }
 
 /// Reads one frame, treating read timeouts as "check the drain flag
-/// and keep waiting". `Ok(None)` is a clean EOF.
+/// and keep waiting". `Ok(None)` is a clean EOF. A frame whose bytes
+/// straddle a timeout is not lost: `frames` keeps the partial frame.
 ///
 /// With `bail_on_drain` (the handshake phase, where no completer
 /// exists yet to close the socket) a drain aborts the read instead of
 /// closing admissions.
 fn read_frame_patient(
     stream: &mut TcpStream,
+    frames: &mut FrameReader,
     shared: &ServerShared,
     pending: &PendingQueue,
     bail_on_drain: bool,
-    payload: &mut Vec<u8>,
-) -> Result<Option<(Frame, usize)>, crate::frame::WireError> {
+) -> Result<Option<(Frame, usize)>, WireError> {
     loop {
-        match read_frame_into(stream, shared.config.max_frame_bytes, payload) {
+        match frames.read_frame(stream) {
             Ok(got) => return Ok(got),
-            Err(crate::frame::WireError::Io(e))
+            Err(WireError::Io(e))
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
                 // Idle sockets still observe the drain promptly.
                 if shared.draining.load(Ordering::Acquire) {
                     if bail_on_drain {
-                        return Err(crate::frame::WireError::ConnectionClosed);
+                        return Err(WireError::ConnectionClosed);
                     }
                     pending.close_admissions();
                 }
@@ -412,7 +415,8 @@ fn connection_main(mut stream: TcpStream, shared: Arc<ServerShared>) {
     });
 
     // ---- handshake: first frame must be Hello -------------------------
-    let hello = read_frame_patient(&mut stream, &shared, &pending, true, &mut Vec::new());
+    let mut frames = FrameReader::new(shared.config.max_frame_bytes);
+    let hello = read_frame_patient(&mut stream, &mut frames, &shared, &pending, true);
     let tenant: Arc<TenantCell> = match hello {
         Ok(Some((Frame::Hello { tenant, key }, bytes))) => {
             shared.meter.frame_in(None, bytes);
@@ -490,7 +494,14 @@ fn connection_main(mut stream: TcpStream, shared: Arc<ServerShared>) {
     };
 
     // ---- reader loop (this thread) ------------------------------------
-    reader_loop(&mut stream, &shared, &pending, &tenant, &writer);
+    reader_loop(
+        &mut stream,
+        &mut frames,
+        &shared,
+        &pending,
+        &tenant,
+        &writer,
+    );
 
     let _ = completer.join();
     shared.meter.connection_closed();
@@ -498,14 +509,13 @@ fn connection_main(mut stream: TcpStream, shared: Arc<ServerShared>) {
 
 fn reader_loop(
     stream: &mut TcpStream,
+    frames: &mut FrameReader,
     shared: &ServerShared,
     pending: &Arc<PendingQueue>,
     tenant: &Arc<TenantCell>,
     writer: &ConnWriter,
 ) {
-    let mut payload = Vec::new();
-    while let Ok(Some((frame, bytes))) =
-        read_frame_patient(stream, shared, pending, false, &mut payload)
+    while let Ok(Some((frame, bytes))) = read_frame_patient(stream, frames, shared, pending, false)
     {
         shared.meter.frame_in(Some(tenant.name()), bytes);
         match frame {

@@ -1,8 +1,11 @@
 //! Loopback-socket integration tests: admission edge cases surfaced
 //! at the wire boundary, tenant limits over a real TCP connection,
-//! out-of-order delivery and execution failures, and the multi-client
-//! drain-on-shutdown soak the CI tier-1 step runs by name.
+//! out-of-order delivery and execution failures, the client's corked
+//! submits, frames split across the server's read timeout, and the
+//! multi-client drain-on-shutdown soak the CI tier-1 step runs by name.
 
+use std::io::Write;
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -12,9 +15,10 @@ use modsram_core::cluster::{home_tile_for, ClusterConfig, ServiceCluster, SpillP
 use modsram_core::dispatch::{ContextPool, MulJob};
 use modsram_core::service::{ModSramService, ServiceConfig};
 use modsram_core::test_util::{failing_pool, slow_pool, FailureMode};
+use modsram_net::frame::{encode_submit_batch, write_frame, FrameReader, DEFAULT_MAX_PAYLOAD};
 use modsram_net::{
-    NetBackend, RetryReason, TenantLimits, TenantRegistry, WireClient, WireConfig, WireError,
-    WireResponse, WireServer,
+    Frame, NetBackend, RetryReason, TenantLimits, TenantRegistry, WireClient, WireConfig,
+    WireError, WireResponse, WireServer,
 };
 
 fn job(a: u64, b: u64, p: u64) -> MulJob {
@@ -95,6 +99,8 @@ fn paused_tile_during_live_drain_maps_to_tile_paused_retry_frame() {
     let before: Vec<u64> = (0..32u64)
         .map(|i| client.submit(job(i + 2, 3, 1_000_003)).unwrap())
         .collect();
+    // Submits are corked; send them now, ahead of the drain.
+    client.flush().unwrap();
 
     // The drain is live: the cluster keeps serving on the other tile,
     // and this wire server's tile refuses from the instant admissions
@@ -279,6 +285,9 @@ fn tenant_rate_limit_and_inflight_cap_are_typed_refusals() {
     let second_ids: Vec<u64> = (0..2)
         .map(|_| second.submit(job(3, 5, 97)).unwrap())
         .collect();
+    // Submits are corked; put both bursts on the wire before waiting.
+    first.flush().unwrap();
+    second.flush().unwrap();
     let mut capped = 0;
     for (client, ids) in [(&mut first, first_ids), (&mut second, second_ids)] {
         for id in ids {
@@ -498,4 +507,176 @@ fn completions_are_delivered_as_they_finish_and_failures_are_answered() {
     let stats = server.shutdown();
     assert_eq!((stats.accepted, stats.failed), (1, 1));
     failing.shutdown();
+}
+
+/// A one-tile barrett server for the corking and framing tests, with
+/// room for `capacity` queued jobs and in-flight ids.
+fn roomy_server(capacity: usize) -> (ServiceCluster, WireServer) {
+    let cluster = ServiceCluster::for_engine_name(
+        "barrett",
+        1,
+        ClusterConfig {
+            service: ServiceConfig {
+                queue_capacity: capacity,
+                ..Default::default()
+            },
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let registry = registry_with(
+        "corked",
+        9,
+        TenantLimits {
+            max_inflight: capacity as u32,
+            ..Default::default()
+        },
+    );
+    let server = WireServer::bind(
+        "127.0.0.1:0",
+        NetBackend::Cluster(cluster.handle()),
+        registry,
+        WireConfig::default(),
+    )
+    .unwrap();
+    (cluster, server)
+}
+
+/// A burst of one-job submits costs one frame: nothing is written
+/// until `wait` has to read the socket.
+#[test]
+fn a_burst_of_submits_reaches_the_server_as_one_frame() {
+    let (cluster, server) = roomy_server(1024);
+    let mut client = WireClient::connect(server.local_addr(), "corked", 9).unwrap();
+    let frames_before = server.stats().frames_in;
+    let ids: Vec<u64> = (0..64u64)
+        .map(|i| client.submit(job(i + 2, 5, 1_000_003)).unwrap())
+        .collect();
+    for (i, id) in ids.into_iter().enumerate() {
+        let i = i as u64;
+        assert_eq!(
+            client.wait(id).unwrap(),
+            WireResponse::Done(UBig::from((i + 2) * 5 % 1_000_003))
+        );
+    }
+    assert_eq!(
+        server.stats().frames_in - frames_before,
+        1,
+        "64 corked submits must travel as one SubmitBatch frame"
+    );
+    assert_eq!(client.close().unwrap(), Some(64));
+    server.shutdown();
+    cluster.shutdown();
+}
+
+/// Submits that outgrow the 64 KiB cork bound are sent as they go, in
+/// several frames, and every one of them is answered exactly once.
+#[test]
+fn submits_past_the_cork_bound_are_sent_in_several_frames() {
+    const JOBS: usize = 4096;
+    const CORK_BYTES: usize = 64 << 10;
+    let (cluster, server) = roomy_server(2 * JOBS);
+    let p =
+        UBig::from_hex("fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f").unwrap();
+    let jobs: Vec<MulJob> = (0..JOBS as u64)
+        .map(|i| MulJob::new(UBig::from(i + 1), UBig::from(0x1234_5678u64), p.clone()))
+        .collect();
+    // The frame count the bound implies: a frame is sent as soon as it
+    // holds CORK_BYTES, the last one by the first wait.
+    let (mut empty, mut one) = (Vec::new(), Vec::new());
+    encode_submit_batch(&mut empty, 0, std::iter::empty());
+    encode_submit_batch(&mut one, 0, jobs.iter().take(1));
+    let job_bytes = one.len() - empty.len();
+    let jobs_per_frame = (CORK_BYTES - empty.len()).div_ceil(job_bytes);
+    let expected_frames = JOBS.div_ceil(jobs_per_frame) as u64;
+    assert!(
+        expected_frames >= 4,
+        "the burst must cross the bound several times"
+    );
+
+    let mut client = WireClient::connect(server.local_addr(), "corked", 9).unwrap();
+    let frames_before = server.stats().frames_in;
+    let ids: Vec<u64> = jobs
+        .iter()
+        .map(|j| client.submit(j.clone()).unwrap())
+        .collect();
+    for (j, id) in jobs.iter().zip(ids) {
+        assert_eq!(
+            client.wait(id).unwrap(),
+            WireResponse::Done(&(&j.a * &j.b) % &j.modulus)
+        );
+    }
+    assert_eq!(client.duplicates(), 0);
+    assert_eq!(server.stats().frames_in - frames_before, expected_frames);
+    assert_eq!(client.close().unwrap(), Some(JOBS as u64));
+    let stats = server.shutdown();
+    assert_eq!(
+        (stats.accepted, stats.completed),
+        (JOBS as u64, JOBS as u64)
+    );
+    cluster.shutdown();
+}
+
+/// `close` sends what is still corked before its `Goodbye`, so a job
+/// never waited on is still delivered and counted in the `Bye`.
+#[test]
+fn close_sends_corked_jobs_before_goodbye() {
+    let (cluster, server) = roomy_server(64);
+    let mut client = WireClient::connect(server.local_addr(), "corked", 9).unwrap();
+    client.submit(job(6, 7, 97)).unwrap();
+    assert_eq!(
+        client.close().unwrap(),
+        Some(1),
+        "Bye counts the corked job"
+    );
+    let stats = server.shutdown();
+    assert_eq!((stats.accepted, stats.completed), (1, 1));
+    cluster.shutdown();
+}
+
+/// A frame whose bytes arrive more than one server read timeout apart
+/// is reassembled, not dropped: the bytes read before the timeout are
+/// kept and the rest completes the frame.
+#[test]
+fn a_frame_split_across_the_read_timeout_is_reassembled() {
+    let (cluster, server) = roomy_server(64);
+    let read_timeout = WireConfig::default().read_timeout;
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    let mut frames = FrameReader::new(DEFAULT_MAX_PAYLOAD);
+    write_frame(
+        &mut stream,
+        &Frame::Hello {
+            tenant: "corked".into(),
+            key: 9,
+        },
+    )
+    .unwrap();
+    assert!(matches!(
+        frames.read_frame(&mut stream).unwrap(),
+        Some((Frame::HelloOk { .. }, _))
+    ));
+
+    let mut submit = Vec::new();
+    encode_submit_batch(&mut submit, 41, std::iter::once(&job(6, 7, 97)));
+    let (head, tail) = submit.split_at(20); // the header and part of the payload
+    stream.write_all(head).unwrap();
+    std::thread::sleep(read_timeout * 5);
+    stream.write_all(tail).unwrap();
+    assert_eq!(
+        frames.read_frame(&mut stream).unwrap().unwrap().0,
+        Frame::Done {
+            req_id: 41,
+            product: UBig::from(42u64),
+        }
+    );
+
+    write_frame(&mut stream, &Frame::Goodbye).unwrap();
+    assert_eq!(
+        frames.read_frame(&mut stream).unwrap().unwrap().0,
+        Frame::Bye { completed: 1 }
+    );
+    let stats = server.shutdown();
+    assert_eq!((stats.accepted, stats.completed), (1, 1));
+    cluster.shutdown();
 }

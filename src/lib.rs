@@ -151,7 +151,9 @@
 //! socket, and responses stream back in completion order under
 //! client-assigned request ids. The blocking [`net::WireClient`]
 //! files out-of-order arrivals locally, so callers redeem ids in any
-//! order:
+//! order. It also corks its writes: submits made between two reads
+//! travel as one `SubmitBatch` frame, sent when `wait` is about to
+//! block on the socket (or on `flush`, `close`, or a 64 KiB bound):
 //!
 //! ```
 //! use modsram::bigint::UBig;
